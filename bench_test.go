@@ -9,6 +9,7 @@ package graphite
 // in DESIGN.md §5.
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -76,17 +77,22 @@ func ablationFixture(b *testing.B, p graph.Profile, n, cols int) (*graph.CSR, []
 // D1: dynamic vs static scheduling of the aggregation under power-law
 // degree skew.
 func BenchmarkAblationScheduling(b *testing.B) {
+	ctx := context.Background()
 	g, f, h := ablationFixture(b, graph.Twitter, 6000, 64)
 	out := tensor.NewMatrix(g.NumVertices(), 64)
 	src := kernels.NewDenseSource(h)
 	b.Run("dynamic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.Basic(out, g, f, src, kernels.Options{Threads: 4})
+			if err := kernels.BasicCtx(ctx, out, g, f, src, kernels.Options{Threads: 4}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.DistGNN(out, g, f, h, 4)
+			if err := kernels.DistGNNCtx(ctx, out, g, f, h, 4, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -111,7 +117,7 @@ func BenchmarkAblationFusedBlockSize(b *testing.B) {
 	for _, blockSize := range []int{8, 64, 512, 4096} {
 		b.Run(sizeName(blockSize), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gnn.Forward(net, w, gnn.RunOptions{Impl: gnn.ImplFused, BlockSize: blockSize}); err != nil {
+				if _, err := gnn.Forward(context.Background(), net, w, gnn.RunOptions{Impl: gnn.ImplFused, BlockSize: blockSize}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,7 +134,9 @@ func BenchmarkAblationCompressedLayout(b *testing.B) {
 	b.Run("fused-decompress-axpy", func(b *testing.B) {
 		src := kernels.NewCompressedSource(cm)
 		for i := 0; i < b.N; i++ {
-			kernels.Basic(out, g, f, src, kernels.Options{})
+			if err := kernels.BasicCtx(context.Background(), out, g, f, src, kernels.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("decompress-then-axpy", func(b *testing.B) {
@@ -211,7 +219,7 @@ func BenchmarkAblationLocalityGreedy(b *testing.B) {
 // Scheduling substrate overhead.
 func BenchmarkSchedDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sched.Dynamic(100_000, 256, 4, func(s, e int) {})
+		sched.Dynamic(100_000, 256, 4, nil, func(_, s, e int) {})
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -159,7 +160,7 @@ func timeVariant(r *Report, name string, w *gnn.Workload, kind gnn.Kind, dims []
 	opts := gnn.RunOptions{Impl: im, Threads: cfg.Threads, Order: order, Train: train, Tel: cfg.Telemetry}
 	grads := gnn.NewGradients(net)
 	return cfg.timeIt(r, name, func() error {
-		st, err := gnn.Forward(net, w, opts)
+		st, err := gnn.Forward(context.Background(), net, w, opts)
 		if err != nil {
 			return err
 		}
@@ -170,7 +171,7 @@ func timeVariant(r *Report, name string, w *gnn.Workload, kind gnn.Kind, dims []
 		if err != nil {
 			return err
 		}
-		return gnn.Backward(net, w, st, dLogits, grads, opts)
+		return gnn.Backward(context.Background(), net, w, st, dLogits, grads, opts)
 	})
 }
 
@@ -238,7 +239,7 @@ func fig13(cfg Config) (*Report, error) {
 		}
 		var basicT gnn.Timings
 		_, err = cfg.timeIt(r, fmt.Sprintf("%s/basic", p), func() error {
-			st, err := gnn.Forward(net, w, gnn.RunOptions{Impl: gnn.ImplBasic, Threads: cfg.Threads})
+			st, err := gnn.Forward(context.Background(), net, w, gnn.RunOptions{Impl: gnn.ImplBasic, Threads: cfg.Threads})
 			if err == nil {
 				basicT = st.Timings
 			}
@@ -248,14 +249,14 @@ func fig13(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		fusedInf, err := cfg.timeIt(r, fmt.Sprintf("%s/fused-inf", p), func() error {
-			_, err := gnn.Forward(net, w, gnn.RunOptions{Impl: gnn.ImplFused, Threads: cfg.Threads})
+			_, err := gnn.Forward(context.Background(), net, w, gnn.RunOptions{Impl: gnn.ImplFused, Threads: cfg.Threads})
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		fusedTrain, err := cfg.timeIt(r, fmt.Sprintf("%s/fused-train", p), func() error {
-			_, err := gnn.Forward(net, w, gnn.RunOptions{Impl: gnn.ImplFused, Threads: cfg.Threads, Train: true})
+			_, err := gnn.Forward(context.Background(), net, w, gnn.RunOptions{Impl: gnn.ImplFused, Threads: cfg.Threads, Train: true})
 			return err
 		})
 		if err != nil {

@@ -163,7 +163,7 @@ func (m *Matrix) UncompressedRowBytes() int64 { return int64(m.stride) * 4 }
 // FromDense compresses every row of src in parallel.
 func FromDense(src *tensor.Matrix, threads int) *Matrix {
 	m := NewMatrix(src.Rows, src.Cols)
-	sched.Dynamic(src.Rows, 64, threads, func(s, e int) {
+	sched.Dynamic(src.Rows, 64, threads, nil, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			m.CompressRow(i, src.Row(i))
 		}
@@ -174,7 +174,7 @@ func FromDense(src *tensor.Matrix, threads int) *Matrix {
 // ToDense expands the whole matrix.
 func (m *Matrix) ToDense(threads int) *tensor.Matrix {
 	out := tensor.NewMatrix(m.Rows, m.Cols)
-	sched.Dynamic(m.Rows, 64, threads, func(s, e int) {
+	sched.Dynamic(m.Rows, 64, threads, nil, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			m.DecompressRow(out.Row(i), i)
 		}

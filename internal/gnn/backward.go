@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -44,9 +45,9 @@ func NewGradients(net *Network) *Gradients {
 // "one more GEMM than the forward propagation" the paper mentions (§7.1.1)
 // is the dW product.
 //
-// Like Forward, escaped kernel panics convert to returned errors and
-// opts.Ctx is observed between layers and inside the aggregation kernels.
-func Backward(net *Network, w *Workload, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients, opts RunOptions) (err error) {
+// Like Forward, escaped kernel panics convert to returned errors and ctx is
+// observed between layers and inside the aggregation kernels.
+func Backward(ctx context.Context, net *Network, w *Workload, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients, opts RunOptions) (err error) {
 	defer contain(opts.Tel, &err)
 	k := net.NumLayers()
 	if len(st.A) != k || st.A[k-1] == nil {
@@ -58,7 +59,7 @@ func Backward(net *Network, w *Workload, st *ForwardState, dLogits *tensor.Matri
 	gT, fT := w.Transposed()
 	dh := dLogits
 	for layerIdx := k - 1; layerIdx >= 0; layerIdx-- {
-		if cerr := ctxErr(opts.Ctx); cerr != nil {
+		if cerr := ctxErr(ctx); cerr != nil {
 			return cerr
 		}
 		layer := net.Layers[layerIdx]
@@ -77,7 +78,7 @@ func Backward(net *Network, w *Workload, st *ForwardState, dLogits *tensor.Matri
 
 		// Parameter gradients.
 		gsp := opts.Tel.Begin(telemetry.PhaseBackwardGEMM)
-		tensor.MatMulTransATel(grads.W[layerIdx], a, dz, opts.Threads, opts.Tel)
+		tensor.MatMulTransA(grads.W[layerIdx], a, dz, opts.Threads, opts.Tel)
 		tensor.SumRows(grads.B[layerIdx], dz)
 
 		if layerIdx == 0 {
@@ -87,18 +88,18 @@ func Backward(net *Network, w *Workload, st *ForwardState, dLogits *tensor.Matri
 
 		// da = dz·Wᵀ, then dh_prev = Âᵀ·da.
 		da := tensor.NewMatrix(dz.Rows, layer.In())
-		tensor.MatMulTransBTel(da, dz, layer.W, opts.Threads, opts.Tel)
+		tensor.MatMulTransB(da, dz, layer.W, opts.Threads, opts.Tel)
 		gsp.End()
 		dhPrev := tensor.NewMatrix(dz.Rows, layer.In())
 		asp := opts.Tel.Begin(telemetry.PhaseBackwardAgg)
 		var aggErr error
 		switch opts.Impl {
 		case ImplDistGNN:
-			aggErr = kernels.DistGNNCtx(opts.Ctx, dhPrev, gT, fT, da, opts.Threads, opts.Tel)
+			aggErr = kernels.DistGNNCtx(ctx, dhPrev, gT, fT, da, opts.Threads, opts.Tel)
 		case ImplMKL:
-			aggErr = sparse.SpMMCtx(opts.Ctx, dhPrev, gT, fT, da, opts.Threads, opts.Tel)
+			aggErr = sparse.SpMMCtx(ctx, dhPrev, gT, fT, da, opts.Threads, opts.Tel)
 		default:
-			aggErr = kernels.BasicCtx(opts.Ctx, dhPrev, gT, fT, kernels.NewDenseSource(da), opts.kernelOptions())
+			aggErr = kernels.BasicCtx(ctx, dhPrev, gT, fT, kernels.NewDenseSource(da), opts.kernelOptions())
 		}
 		asp.End()
 		if aggErr != nil {

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"graphite/internal/graph"
@@ -39,7 +40,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointedNetworkSameLogits(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Products, 120, 8, false)
 	net := testNet(t, GCN, []int{8, 6, 3})
-	ref, err := Forward(net, w, RunOptions{Impl: ImplBasic})
+	ref, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestCheckpointedNetworkSameLogits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Forward(back, w, RunOptions{Impl: ImplBasic})
+	got, err := Forward(context.Background(), back, w, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 )
 
 // contain is the package's panic→error boundary, deferred at the entry
-// points that promise an error return (Forward, Backward, and through them
-// Infer and the trainer). Two classes of panic reach it:
+// points that promise an error return (Forward, Backward, the sampled layer
+// loop, and through them Infer, the trainers and the serving path). Two
+// classes of panic reach it:
 //
-//   - *sched.WorkerError re-panicked by a legacy (non-ctx) scheduler entry
-//     point: already recovered and counted inside the scheduler, so it is
-//     wrapped as-is.
+//   - *sched.WorkerError re-panicked by the uncancellable sched.Dynamic
+//     under the ctx-free tensor helpers: already recovered and counted
+//     inside the scheduler, so it is wrapped as-is.
 //   - caller-goroutine panics (kernel shape checks like checkAggArgs, or
 //     library bugs): recovered here, counted on tel, and reported with the
 //     stack at the point of the panic.
@@ -35,8 +36,8 @@ func contain(tel *telemetry.Sink, err *error) {
 	*err = fmt.Errorf("gnn: contained panic: %v\n%s", r, debug.Stack())
 }
 
-// ctxErr returns ctx.Err(), tolerating the nil context that RunOptions.Ctx
-// defaults to.
+// ctxErr returns ctx.Err(), tolerating a nil context, which the entry
+// points treat like context.Background().
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil

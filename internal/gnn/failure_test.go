@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func TestNewTrainerRequiresLabels(t *testing.T) {
 
 func TestForwardEmptyNetwork(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Products, 50, 4, false)
-	if _, err := Forward(&Network{}, w, RunOptions{}); err == nil {
+	if _, err := Forward(context.Background(), &Network{}, w, RunOptions{}); err == nil {
 		t.Fatal("empty network accepted")
 	}
 }
@@ -74,12 +75,12 @@ func TestTimingsAccumulate(t *testing.T) {
 func TestFusedBlockBoundary(t *testing.T) {
 	w := testWorkload(t, SAGE, graph.Wikipedia, 101, 8, false)
 	net := testNet(t, SAGE, []int{8, 4})
-	ref, err := Forward(net, w, RunOptions{Impl: ImplBasic})
+	ref, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, blockSize := range []int{1, 7, 100, 101, 5000} {
-		st, err := Forward(net, w, RunOptions{Impl: ImplFused, BlockSize: blockSize})
+		st, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplFused, BlockSize: blockSize})
 		if err != nil {
 			t.Fatalf("B=%d: %v", blockSize, err)
 		}
@@ -95,7 +96,7 @@ func TestSingleLayerNetwork(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Papers, 90, 8, true)
 	net := testNet(t, GCN, []int{8, 4})
 	for _, impl := range Impls() {
-		st, err := Forward(net, w, RunOptions{Impl: impl, Train: true})
+		st, err := Forward(context.Background(), net, w, RunOptions{Impl: impl, Train: true})
 		if err != nil {
 			t.Fatalf("%v: %v", impl, err)
 		}
@@ -106,7 +107,7 @@ func TestSingleLayerNetwork(t *testing.T) {
 		if math.IsNaN(loss) {
 			t.Fatalf("%v: NaN loss", impl)
 		}
-		if err := Backward(net, w, st, dl, NewGradients(net), RunOptions{Impl: impl}); err != nil {
+		if err := Backward(context.Background(), net, w, st, dl, NewGradients(net), RunOptions{Impl: impl}); err != nil {
 			t.Fatalf("%v: backward: %v", impl, err)
 		}
 	}

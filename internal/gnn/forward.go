@@ -69,12 +69,6 @@ func (im Impl) UsesFusion() bool { return im == ImplFused || im == ImplCombined 
 type RunOptions struct {
 	Impl    Impl
 	Threads int
-	// Ctx, when non-nil, is observed between layers and at scheduler chunk
-	// boundaries inside the kernels: cancellation aborts the run with
-	// ctx.Err() at chunk granularity. nil behaves like
-	// context.Background() and keeps the kernels on their uncancellable
-	// fast path (no per-row branches).
-	Ctx context.Context
 	// BlockSize is B in Algorithm 2 (default 64): vertices aggregated and
 	// then updated per fused block. Sized so the a-block stays in cache
 	// between the two phases (Fig. 5b).
@@ -176,9 +170,10 @@ func (s *ForwardState) Logits() *tensor.Matrix { return s.H[len(s.H)-1] }
 // implementation. Panics escaping the kernels — worker panics contained by
 // the scheduler as *sched.WorkerError, and caller-goroutine shape panics —
 // are converted to returned errors here, so a malformed workload cannot
-// kill the process. When opts.Ctx is set, cancellation aborts between
-// layers and at chunk boundaries inside each layer.
-func Forward(net *Network, w *Workload, opts RunOptions) (st *ForwardState, err error) {
+// kill the process. Cancellation of ctx aborts between layers and at chunk
+// boundaries inside each layer; a nil or background ctx keeps the kernels
+// on their uncancellable fast path (no per-row branches).
+func Forward(ctx context.Context, net *Network, w *Workload, opts RunOptions) (st *ForwardState, err error) {
 	defer contain(opts.Tel, &err)
 	if net.NumLayers() == 0 {
 		return nil, fmt.Errorf("gnn: empty network")
@@ -213,7 +208,7 @@ func Forward(net *Network, w *Workload, opts RunOptions) (st *ForwardState, err 
 	}
 
 	for layerIdx, layer := range net.Layers {
-		if cerr := ctxErr(opts.Ctx); cerr != nil {
+		if cerr := ctxErr(ctx); cerr != nil {
 			return nil, cerr
 		}
 		if layer.In() != x.Cols {
@@ -254,7 +249,7 @@ func Forward(net *Network, w *Workload, opts RunOptions) (st *ForwardState, err 
 
 		if opts.Impl.UsesFusion() {
 			fusp := opts.Tel.Begin(telemetry.PhaseFused)
-			a, fusedTime, ferr := fusedLayer(w, src, layer, ep, opts)
+			a, fusedTime, ferr := fusedLayer(ctx, w, src, layer, ep, opts)
 			fusp.End()
 			if ferr != nil {
 				return nil, ferr
@@ -270,11 +265,11 @@ func Forward(net *Network, w *Workload, opts RunOptions) (st *ForwardState, err 
 			var aggErr error
 			switch opts.Impl {
 			case ImplDistGNN:
-				aggErr = kernels.DistGNNCtx(opts.Ctx, a, w.G, w.Factors, x, opts.Threads, opts.Tel)
+				aggErr = kernels.DistGNNCtx(ctx, a, w.G, w.Factors, x, opts.Threads, opts.Tel)
 			case ImplMKL:
-				aggErr = sparse.SpMMCtx(opts.Ctx, a, w.G, w.Factors, x, opts.Threads, opts.Tel)
+				aggErr = sparse.SpMMCtx(ctx, a, w.G, w.Factors, x, opts.Threads, opts.Tel)
 			default:
-				aggErr = kernels.BasicCtx(opts.Ctx, a, w.G, w.Factors, src, opts.kernelOptions())
+				aggErr = kernels.BasicCtx(ctx, a, w.G, w.Factors, src, opts.kernelOptions())
 			}
 			t1 := time.Now()
 			asp.End()
@@ -282,7 +277,7 @@ func Forward(net *Network, w *Workload, opts RunOptions) (st *ForwardState, err 
 				return nil, aggErr
 			}
 			usp := opts.Tel.Begin(telemetry.PhaseUpdate)
-			uerr := unfusedUpdate(a, layer, ep, opts)
+			uerr := unfusedUpdate(ctx, a, layer, ep, opts)
 			t2 := time.Now()
 			usp.End()
 			if uerr != nil {
@@ -356,12 +351,12 @@ func (ep *epilogue) finishRow(z []float32, bias []float32, v int, rng *rand.Rand
 
 // unfusedUpdate runs the whole update phase after a full aggregation:
 // z = a·W + b with activation/dropout/compression, parallel over rows. The
-// cursor observes opts.Ctx, so cancellation drains the workers at chunk
+// cursor observes ctx, so cancellation drains the workers at chunk
 // granularity; worker panics come back as *sched.WorkerError.
-func unfusedUpdate(a *tensor.Matrix, layer *Layer, ep epilogue, opts RunOptions) error {
+func unfusedUpdate(ctx context.Context, a *tensor.Matrix, layer *Layer, ep epilogue, opts RunOptions) error {
 	axpyOut := kernels.MakeAXPY(layer.Out())
-	cur := sched.NewCursorCtx(opts.Ctx, a.Rows, 64)
-	return sched.ForEachThreadTelCtx(opts.Ctx, opts.Threads, opts.Tel, func(thread int) {
+	cur := sched.NewCursorCtx(ctx, a.Rows, 64)
+	return sched.ForEachThreadCtx(ctx, opts.Threads, opts.Tel, func(thread int) {
 		rng := rand.New(rand.NewSource(ep.dropSeed + int64(thread)))
 		z := make([]float32, layer.Out())
 		var chunks, rows int64
@@ -415,7 +410,7 @@ func rowGEMM(z, row []float32, w *tensor.Matrix, axpy func(dst, src []float32, a
 // immediately updates it while the block's a-rows are still cache resident
 // (Fig. 5b). Inference reuses one per-thread a-buffer (Fig. 5c); training
 // writes a to its global rows and returns the matrix for backward.
-func fusedLayer(w *Workload, src kernels.Source, layer *Layer, ep epilogue, opts RunOptions) (*tensor.Matrix, time.Duration, error) {
+func fusedLayer(ctx context.Context, w *Workload, src kernels.Source, layer *Layer, ep epilogue, opts RunOptions) (*tensor.Matrix, time.Duration, error) {
 	n := w.G.NumVertices()
 	blockSz := opts.blockSize()
 	taskSz := blockSz * opts.blocksPerTask()
@@ -428,8 +423,8 @@ func fusedLayer(w *Workload, src kernels.Source, layer *Layer, ep epilogue, opts
 	}
 	_, srcCompressed := src.(*kernels.CompressedSource)
 	start := time.Now()
-	cur := sched.NewCursorCtx(opts.Ctx, n, taskSz)
-	err := sched.ForEachThreadTelCtx(opts.Ctx, opts.Threads, opts.Tel, func(thread int) {
+	cur := sched.NewCursorCtx(ctx, n, taskSz)
+	err := sched.ForEachThreadCtx(ctx, opts.Threads, opts.Tel, func(thread int) {
 		rng := rand.New(rand.NewSource(ep.dropSeed + int64(thread)))
 		var aBuf *tensor.Matrix
 		if !opts.Train {

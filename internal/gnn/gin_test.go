@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"testing"
 
 	"graphite/internal/graph"
@@ -22,7 +23,7 @@ func TestGINAllImplsAgree(t *testing.T) {
 	net := testNet(t, GIN, []int{12, 16, 4})
 	var ref *tensor.Matrix
 	for _, impl := range Impls() {
-		st, err := Forward(net, w, RunOptions{Impl: impl, Threads: 2})
+		st, err := Forward(context.Background(), net, w, RunOptions{Impl: impl, Threads: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", impl, err)
 		}

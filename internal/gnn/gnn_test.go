@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,7 +69,7 @@ func TestAllImplsProduceSameLogits(t *testing.T) {
 		var ref *tensor.Matrix
 		for _, impl := range Impls() {
 			for _, train := range []bool{false, true} {
-				st, err := Forward(net, w, RunOptions{Impl: impl, Threads: 2, Train: train, BlockSize: 16})
+				st, err := Forward(context.Background(), net, w, RunOptions{Impl: impl, Threads: 2, Train: train, BlockSize: 16})
 				if err != nil {
 					t.Fatalf("%v %v train=%v: %v", kind, impl, train, err)
 				}
@@ -87,12 +88,12 @@ func TestAllImplsProduceSameLogits(t *testing.T) {
 func TestForwardWithLocalityOrder(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Products, 200, 16, false)
 	net := testNet(t, GCN, []int{16, 8, 3})
-	base, err := Forward(net, w, RunOptions{Impl: ImplCombined, Threads: 2})
+	base, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplCombined, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	order := locality.Reorder(w.G)
-	got, err := Forward(net, w, RunOptions{Impl: ImplCombined, Threads: 2, Order: order, BlockSize: 8})
+	got, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplCombined, Threads: 2, Order: order, BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestForwardWithLocalityOrder(t *testing.T) {
 func TestCompressedInferenceSkipsDenseHidden(t *testing.T) {
 	w := testWorkload(t, SAGE, graph.Wikipedia, 150, 16, false)
 	net := testNet(t, SAGE, []int{16, 8, 3})
-	st, err := Forward(net, w, RunOptions{Impl: ImplCombined, Threads: 1})
+	st, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplCombined, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestCompressedInferenceSkipsDenseHidden(t *testing.T) {
 func TestTrainModeKeepsAggregations(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Papers, 150, 16, false)
 	net := testNet(t, GCN, []int{16, 8, 3})
-	st, err := Forward(net, w, RunOptions{Impl: ImplFused, Threads: 2, Train: true})
+	st, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplFused, Threads: 2, Train: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestTrainModeKeepsAggregations(t *testing.T) {
 			t.Fatalf("layer %d aggregation not kept in training", k)
 		}
 	}
-	stInf, err := Forward(net, w, RunOptions{Impl: ImplFused, Threads: 2})
+	stInf, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplFused, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestTrainModeKeepsAggregations(t *testing.T) {
 func TestForwardDimensionMismatch(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Products, 100, 16, false)
 	net := testNet(t, GCN, []int{8, 4}) // expects 8 input features, workload has 16
-	if _, err := Forward(net, w, RunOptions{}); err == nil {
+	if _, err := Forward(context.Background(), net, w, RunOptions{}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -157,7 +158,7 @@ func TestGradientCheck(t *testing.T) {
 		opts := RunOptions{Impl: ImplBasic, Threads: 1, Train: true}
 
 		lossAt := func() float64 {
-			st, err := Forward(net, w, opts)
+			st, err := Forward(context.Background(), net, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func TestGradientCheck(t *testing.T) {
 			}
 			return loss
 		}
-		st, err := Forward(net, w, opts)
+		st, err := Forward(context.Background(), net, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestGradientCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		grads := NewGradients(net)
-		if err := Backward(net, w, st, dLogits, grads, opts); err != nil {
+		if err := Backward(context.Background(), net, w, st, dLogits, grads, opts); err != nil {
 			t.Fatal(err)
 		}
 
@@ -210,12 +211,12 @@ func TestGradientCheck(t *testing.T) {
 func TestBackwardRequiresTrainState(t *testing.T) {
 	w := testWorkload(t, GCN, graph.Products, 60, 6, true)
 	net := testNet(t, GCN, []int{6, 4})
-	st, err := Forward(net, w, RunOptions{Impl: ImplBasic})
+	st, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dl := tensor.NewMatrix(60, 4)
-	if err := Backward(net, w, st, dl, NewGradients(net), RunOptions{}); err == nil {
+	if err := Backward(context.Background(), net, w, st, dl, NewGradients(net), RunOptions{}); err == nil {
 		t.Fatal("backward accepted inference-mode state")
 	}
 }

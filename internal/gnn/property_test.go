@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func TestForwardPermutationEquivariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Forward(net, w, RunOptions{Impl: ImplBasic})
+	base, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestForwardPermutationEquivariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	permuted, err := Forward(net, pw, RunOptions{Impl: ImplBasic})
+	permuted, err := Forward(context.Background(), net, pw, RunOptions{Impl: ImplBasic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 
 	"graphite/internal/graph"
 	"graphite/internal/sched"
+	"graphite/internal/telemetry"
 	"graphite/internal/tensor"
 )
 
@@ -130,31 +132,72 @@ func sampleOneBlock(g *graph.CSR, kind Kind, dst []int32, fanout int, rng *rand.
 // GatherRows copies X rows for the given global ids into a fresh matrix —
 // the mini-batch feature extraction whose memory traffic is part of the
 // sampling overhead (§3: sampling and mini-batching contribute over 80% of
-// sampled-training time).
+// sampled-training time). It is gatherRows under context.Background(): a
+// worker panic re-panics as a *sched.WorkerError.
 func GatherRows(x *tensor.Matrix, ids []int32, threads int) *tensor.Matrix {
-	out := tensor.NewMatrix(len(ids), x.Cols)
-	sched.Dynamic(len(ids), 256, threads, func(s, e int) {
-		for i := s; i < e; i++ {
-			copy(out.Row(i), x.Row(int(ids[i])))
-		}
-	})
+	out, err := gatherRows(context.Background(), x, ids, threads)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// SampledForward runs the network over a mini-batch's blocks and returns
-// the logits for the batch vertices. h starts as the gathered input
-// features of blocks[0].SrcIDs.
-func SampledForward(net *Network, blocks []*Block, h *tensor.Matrix, threads int) (*tensor.Matrix, error) {
+// gatherRows is the one row-copy body behind GatherRows and the serving
+// path: under cancellation the copies drain at chunk granularity.
+func gatherRows(ctx context.Context, x *tensor.Matrix, ids []int32, threads int) (*tensor.Matrix, error) {
+	out := tensor.NewMatrix(len(ids), x.Cols)
+	if err := sched.DynamicCtx(ctx, len(ids), 256, threads, nil, func(_, s, e int) {
+		for i := s; i < e; i++ {
+			copy(out.Row(i), x.Row(int(ids[i])))
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SampledForwardContext runs the network over a mini-batch's blocks and
+// returns the logits for the batch vertices. h holds the gathered input
+// features of blocks[0].SrcIDs. Aggregation and the final bias add run
+// through the ctx-aware scheduler (cancellation at chunk boundaries, worker
+// panics contained), each layer records aggregate/update spans, and the
+// kernel counters account the vertices, edges and FLOPs the mini-batch
+// moved.
+func SampledForwardContext(ctx context.Context, net *Network, blocks []*Block, h *tensor.Matrix, opts RunOptions) (*tensor.Matrix, error) {
+	return sampledForward(ctx, net, blocks, h, opts, nil)
+}
+
+// sampledForward is the package's one per-layer loop over sampled blocks,
+// shared by serving (SampledForwardContext), RunSampledEpoch and the
+// sampled trainer. When st is non-nil it records each layer's input,
+// aggregation and output for SampledBackward.
+func sampledForward(ctx context.Context, net *Network, blocks []*Block, h *tensor.Matrix, opts RunOptions, st *SampledState) (_ *tensor.Matrix, err error) {
+	defer contain(opts.Tel, &err)
 	if len(blocks) != net.NumLayers() {
 		return nil, fmt.Errorf("gnn: %d blocks for %d layers", len(blocks), net.NumLayers())
 	}
+	threads := opts.Threads
 	for k, layer := range net.Layers {
+		if cerr := ctxErr(ctx); cerr != nil {
+			return nil, cerr
+		}
 		blk := blocks[k]
 		if h.Rows != len(blk.SrcIDs) {
 			return nil, fmt.Errorf("gnn: layer %d input has %d rows, block expects %d", k, h.Rows, len(blk.SrcIDs))
 		}
+		if layer.In() != h.Cols {
+			return nil, fmt.Errorf("gnn: layer %d expects %d inputs, got %d", k, layer.In(), h.Cols)
+		}
+
+		// Per-layer trace span, with aggregate/update children under it —
+		// trace granularity stops here; kernels below never see traces
+		// (the hotloop-telemetry lint enforces that).
+		lctx, lsp := telemetry.StartSpan(ctx, telemetry.LayerName(k))
+
+		_, atsp := telemetry.StartSpan(lctx, telemetry.PhaseAggregate)
+		asp := opts.Tel.Begin(telemetry.PhaseAggregate)
 		a := tensor.NewMatrix(blk.NumDst, layer.In())
-		sched.Dynamic(blk.NumDst, 64, threads, func(s, e int) {
+		aggErr := sched.DynamicCtx(ctx, blk.NumDst, 64, threads, nil, func(_, s, e int) {
 			for i := s; i < e; i++ {
 				dst := a.Row(i)
 				clear(dst)
@@ -163,14 +206,37 @@ func SampledForward(net *Network, blocks []*Block, h *tensor.Matrix, threads int
 				}
 			}
 		})
+		asp.End()
+		atsp.End()
+		if aggErr != nil {
+			lsp.End()
+			return nil, aggErr
+		}
+		opts.Tel.Add(telemetry.CtrVerticesAggregated, int64(blk.NumDst))
+		opts.Tel.Add(telemetry.CtrEdgesAggregated, int64(len(blk.SubG.Col)))
+
+		_, utsp := telemetry.StartSpan(lctx, telemetry.PhaseUpdate)
+		usp := opts.Tel.Begin(telemetry.PhaseUpdate)
 		z := tensor.NewMatrix(blk.NumDst, layer.Out())
 		tensor.MatMul(z, a, layer.W, threads)
 		if k < net.NumLayers()-1 {
 			tensor.AddBiasReLU(z, layer.B, threads)
-		} else {
-			sched.Dynamic(z.Rows, 256, threads, func(s, e int) {
-				tensor.AddBiasRange(z, layer.B, s, e)
-			})
+		} else if uerr := sched.DynamicCtx(ctx, z.Rows, 256, threads, nil, func(_, s, e int) {
+			tensor.AddBiasRange(z, layer.B, s, e)
+		}); uerr != nil {
+			usp.End()
+			utsp.End()
+			lsp.End()
+			return nil, uerr
+		}
+		usp.End()
+		utsp.End()
+		lsp.End()
+		opts.Tel.Add(telemetry.CtrGEMMFLOPs, 2*int64(blk.NumDst)*int64(layer.In())*int64(layer.Out()))
+		if st != nil {
+			st.Inputs = append(st.Inputs, h)
+			st.A = append(st.A, a)
+			st.H = append(st.H, z)
 		}
 		h = z
 	}
@@ -217,7 +283,7 @@ func RunSampledEpoch(net *Network, g *graph.CSR, x *tensor.Matrix, batchSize int
 		}
 		feats := GatherRows(x, blocks[0].SrcIDs, threads)
 		t1 := time.Now()
-		if _, err := SampledForward(net, blocks, feats, threads); err != nil {
+		if _, err := SampledForwardContext(context.Background(), net, blocks, feats, RunOptions{Threads: threads}); err != nil {
 			return out, err
 		}
 		t2 := time.Now()

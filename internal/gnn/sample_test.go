@@ -1,6 +1,8 @@
 package gnn
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -98,7 +100,7 @@ func TestSampledForwardMatchesFullBatchWithoutSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Forward(net, w, RunOptions{Impl: ImplBasic, Threads: 1})
+	full, err := Forward(context.Background(), net, w, RunOptions{Impl: ImplBasic, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +113,74 @@ func TestSampledForwardMatchesFullBatchWithoutSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	feats := GatherRows(x, blocks[0].SrcIDs, 2)
-	logits, err := SampledForward(net, blocks, feats, 2)
+	logits, err := SampledForwardContext(context.Background(), net, blocks, feats, RunOptions{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Row i of logits corresponds to batch[i] == vertex i.
 	if d := tensor.MaxAbsDiff(logits, full.Logits()); d > 2e-3 {
 		t.Fatalf("sampled(full-neighbourhood) differs from full batch by %g", d)
+	}
+}
+
+// TestSampledForwardBitwiseStable: the sampled layer loop is
+// output-parallel with a fixed per-row reduction order, so for fixed blocks
+// its logits must be bitwise identical for any thread count, and recording
+// the backward state must not change them.
+func TestSampledForwardBitwiseStable(t *testing.T) {
+	n := 400
+	g, err := graph.GenerateProfile(graph.Products, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewMatrix(n, 16)
+	x.FillRandom(rand.New(rand.NewSource(8)), 1)
+	net := testNet(t, GCN, []int{16, 8, 4})
+	batch := make([]int32, 150)
+	for i := range batch {
+		batch[i] = int32(2 * i)
+	}
+	blocks, err := SampleBlocks(g, GCN, batch, []int{10, 5}, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := GatherRows(x, blocks[0].SrcIDs, 1)
+	want, err := SampledForwardContext(context.Background(), net, blocks, feats, RunOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		threads int
+		record  bool
+	}{
+		{1, false}, {2, false}, {4, false}, {1, true}, {2, true}, {4, true},
+	} {
+		var st *SampledState
+		if tc.record {
+			st = &SampledState{}
+		}
+		got, err := sampledForward(context.Background(), net, blocks, feats, RunOptions{Threads: tc.threads}, st)
+		if err != nil {
+			t.Fatalf("threads=%d record=%v: %v", tc.threads, tc.record, err)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("threads=%d record=%v: logits %dx%d, want %dx%d", tc.threads, tc.record, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := 0; i < want.Rows; i++ {
+			for j := 0; j < want.Cols; j++ {
+				if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(i, j)) {
+					t.Fatalf("threads=%d record=%v: logit (%d,%d) = %v, want %v", tc.threads, tc.record, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
+		if tc.record {
+			if len(st.Inputs) != len(blocks) || len(st.A) != len(blocks) || len(st.H) != len(blocks) {
+				t.Fatalf("threads=%d: recorded %d/%d/%d layers, want %d", tc.threads, len(st.Inputs), len(st.A), len(st.H), len(blocks))
+			}
+			if st.Inputs[0] != feats || st.Logits() != got {
+				t.Fatalf("threads=%d: recorded state does not chain input features to logits", tc.threads)
+			}
+		}
 	}
 }
 
@@ -157,4 +220,29 @@ func TestRunSampledEpochBreakdown(t *testing.T) {
 	if _, err := RunSampledEpoch(net, g, x, 0, []int{3, 3}, 1, 1, 1); err == nil {
 		t.Fatal("zero batch size accepted")
 	}
+}
+
+// TestRunSampledEpochWidthMismatch: features narrower than the network's
+// input must come back from RunSampledEpoch as an error, not as a worker
+// panic out of the aggregation.
+func TestRunSampledEpochWidthMismatch(t *testing.T) {
+	n := 300
+	g, err := graph.GenerateProfile(graph.Products, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewMatrix(n, 12)
+	x.FillRandom(rand.New(rand.NewSource(6)), 1)
+	net := testNet(t, SAGE, []int{16, 8, 4})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("RunSampledEpoch panicked: %v", r)
+			}
+		}()
+		if _, err = RunSampledEpoch(net, g, x, 64, []int{10, 5}, 1, 2, 1); err == nil {
+			t.Fatal("12-wide features accepted by a 16-input network")
+		}
+	}()
+	t.Logf("error: %v", err)
 }

@@ -1,12 +1,12 @@
 package gnn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"graphite/internal/graph"
-	"graphite/internal/sched"
 	"graphite/internal/tensor"
 )
 
@@ -21,50 +21,6 @@ type SampledState struct {
 
 // Logits returns the final layer's output.
 func (s *SampledState) Logits() *tensor.Matrix { return s.H[len(s.H)-1] }
-
-// SampledForwardTrain runs the network over a mini-batch's blocks keeping
-// the intermediates for back-propagation. h0 holds the gathered input
-// features of blocks[0].SrcIDs.
-func SampledForwardTrain(net *Network, blocks []*Block, h0 *tensor.Matrix, threads int) (*SampledState, error) {
-	if len(blocks) != net.NumLayers() {
-		return nil, fmt.Errorf("gnn: %d blocks for %d layers", len(blocks), net.NumLayers())
-	}
-	st := &SampledState{}
-	h := h0
-	for k, layer := range net.Layers {
-		blk := blocks[k]
-		if h.Rows != len(blk.SrcIDs) {
-			return nil, fmt.Errorf("gnn: layer %d input has %d rows, block expects %d", k, h.Rows, len(blk.SrcIDs))
-		}
-		if h.Cols != layer.In() {
-			return nil, fmt.Errorf("gnn: layer %d input width %d, want %d", k, h.Cols, layer.In())
-		}
-		st.Inputs = append(st.Inputs, h)
-		a := tensor.NewMatrix(blk.NumDst, layer.In())
-		sched.Dynamic(blk.NumDst, 64, threads, func(s, e int) {
-			for i := s; i < e; i++ {
-				dst := a.Row(i)
-				clear(dst)
-				for eIdx := blk.SubG.Ptr[i]; eIdx < blk.SubG.Ptr[i+1]; eIdx++ {
-					tensor.AXPY(dst, h.Row(int(blk.SubG.Col[eIdx])), blk.Factors[eIdx])
-				}
-			}
-		})
-		st.A = append(st.A, a)
-		z := tensor.NewMatrix(blk.NumDst, layer.Out())
-		tensor.MatMul(z, a, layer.W, threads)
-		if k < net.NumLayers()-1 {
-			tensor.AddBiasReLU(z, layer.B, threads)
-		} else {
-			sched.Dynamic(z.Rows, 256, threads, func(s, e int) {
-				tensor.AddBiasRange(z, layer.B, s, e)
-			})
-		}
-		st.H = append(st.H, z)
-		h = z
-	}
-	return st, nil
-}
 
 // SampledBackward back-propagates dLogits through the blocks, accumulating
 // into grads (so multiple mini-batches can share one gradient buffer when
@@ -84,7 +40,7 @@ func SampledBackward(net *Network, blocks []*Block, st *SampledState, dLogits *t
 			tensor.ReLUBackward(dz, dh, st.H[layerIdx], threads)
 		}
 		dW := tensor.NewMatrix(layer.In(), layer.Out())
-		tensor.MatMulTransA(dW, st.A[layerIdx], dz, threads)
+		tensor.MatMulTransA(dW, st.A[layerIdx], dz, threads, nil)
 		for i := 0; i < dW.Rows; i++ {
 			tensor.AXPY(grads.W[layerIdx].Row(i), dW.Row(i), 1)
 		}
@@ -95,7 +51,7 @@ func SampledBackward(net *Network, blocks []*Block, st *SampledState, dLogits *t
 			break
 		}
 		da := tensor.NewMatrix(dz.Rows, layer.In())
-		tensor.MatMulTransB(da, dz, layer.W, threads)
+		tensor.MatMulTransB(da, dz, layer.W, threads, nil)
 		// Transposed block aggregation: scatter each destination's da into
 		// its sources. Serial over destinations — sources overlap across
 		// rows so the scatter would race if parallelised naively.
@@ -180,8 +136,8 @@ func (t *SampledTrainer) Epoch() (SampledEpochResult, error) {
 		}
 		feats := GatherRows(t.X, blocks[0].SrcIDs, t.Threads)
 		t1 := time.Now()
-		st, err := SampledForwardTrain(t.Net, blocks, feats, t.Threads)
-		if err != nil {
+		st := &SampledState{}
+		if _, err := sampledForward(context.Background(), t.Net, blocks, feats, RunOptions{Threads: t.Threads}, st); err != nil {
 			return out, err
 		}
 		loss, dLogits, err := SoftmaxCrossEntropy(st.Logits(), batchLabels)

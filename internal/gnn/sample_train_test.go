@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSampledGradientsMatchFullBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := RunOptions{Impl: ImplBasic, Threads: 1, Train: true}
-	stFull, err := Forward(net, w, opts)
+	stFull, err := Forward(context.Background(), net, w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSampledGradientsMatchFullBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	gFull := NewGradients(net)
-	if err := Backward(net, w, stFull, dFull, gFull, opts); err != nil {
+	if err := Backward(context.Background(), net, w, stFull, dFull, gFull, opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,8 +56,8 @@ func TestSampledGradientsMatchFullBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	feats := GatherRows(x, blocks[0].SrcIDs, 1)
-	stS, err := SampledForwardTrain(net, blocks, feats, 1)
-	if err != nil {
+	stS := &SampledState{}
+	if _, err := sampledForward(context.Background(), net, blocks, feats, RunOptions{Threads: 1}, stS); err != nil {
 		t.Fatal(err)
 	}
 	_, dS, err := SoftmaxCrossEntropy(stS.Logits(), labels) // batch order == vertex order

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"graphite/internal/graph"
-	"graphite/internal/sched"
 	"graphite/internal/telemetry"
 	"graphite/internal/tensor"
 )
@@ -66,97 +65,11 @@ func InferVerticesContext(ctx context.Context, net *Network, g *graph.CSR, x *te
 		tsp.End()
 		return nil, err
 	}
-	feats, err := gatherRowsCtx(ctx, x, blocks[0].SrcIDs, opts.Threads)
+	feats, err := gatherRows(ctx, x, blocks[0].SrcIDs, opts.Threads)
 	ssp.End()
 	tsp.End()
 	if err != nil {
 		return nil, err
 	}
 	return SampledForwardContext(ctx, net, blocks, feats, opts)
-}
-
-// gatherRowsCtx is GatherRows under a context: the row copies drain at
-// chunk granularity on cancellation.
-func gatherRowsCtx(ctx context.Context, x *tensor.Matrix, ids []int32, threads int) (*tensor.Matrix, error) {
-	out := tensor.NewMatrix(len(ids), x.Cols)
-	if err := sched.DynamicCtx(ctx, len(ids), 256, threads, func(s, e int) {
-		for i := s; i < e; i++ {
-			copy(out.Row(i), x.Row(int(ids[i])))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SampledForwardContext is SampledForward under a context with telemetry:
-// aggregation and the final bias add run through the ctx-aware scheduler
-// (cancellation at chunk boundaries, worker panics contained), each layer
-// records aggregate/update spans, and the kernel counters account the
-// vertices, edges and FLOPs the mini-batch moved.
-func SampledForwardContext(ctx context.Context, net *Network, blocks []*Block, h *tensor.Matrix, opts RunOptions) (_ *tensor.Matrix, err error) {
-	defer contain(opts.Tel, &err)
-	if len(blocks) != net.NumLayers() {
-		return nil, fmt.Errorf("gnn: %d blocks for %d layers", len(blocks), net.NumLayers())
-	}
-	threads := opts.Threads
-	for k, layer := range net.Layers {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, cerr
-		}
-		blk := blocks[k]
-		if h.Rows != len(blk.SrcIDs) {
-			return nil, fmt.Errorf("gnn: layer %d input has %d rows, block expects %d", k, h.Rows, len(blk.SrcIDs))
-		}
-		if layer.In() != h.Cols {
-			return nil, fmt.Errorf("gnn: layer %d expects %d inputs, got %d", k, layer.In(), h.Cols)
-		}
-
-		// Per-layer trace span, with aggregate/update children under it —
-		// trace granularity stops here; kernels below never see traces
-		// (the hotloop-telemetry lint enforces that).
-		lctx, lsp := telemetry.StartSpan(ctx, telemetry.LayerName(k))
-
-		_, atsp := telemetry.StartSpan(lctx, telemetry.PhaseAggregate)
-		asp := opts.Tel.Begin(telemetry.PhaseAggregate)
-		a := tensor.NewMatrix(blk.NumDst, layer.In())
-		aggErr := sched.DynamicCtx(ctx, blk.NumDst, 64, threads, func(s, e int) {
-			for i := s; i < e; i++ {
-				dst := a.Row(i)
-				clear(dst)
-				for eIdx := blk.SubG.Ptr[i]; eIdx < blk.SubG.Ptr[i+1]; eIdx++ {
-					tensor.AXPY(dst, h.Row(int(blk.SubG.Col[eIdx])), blk.Factors[eIdx])
-				}
-			}
-		})
-		asp.End()
-		atsp.End()
-		if aggErr != nil {
-			lsp.End()
-			return nil, aggErr
-		}
-		opts.Tel.Add(telemetry.CtrVerticesAggregated, int64(blk.NumDst))
-		opts.Tel.Add(telemetry.CtrEdgesAggregated, int64(len(blk.SubG.Col)))
-
-		_, utsp := telemetry.StartSpan(lctx, telemetry.PhaseUpdate)
-		usp := opts.Tel.Begin(telemetry.PhaseUpdate)
-		z := tensor.NewMatrix(blk.NumDst, layer.Out())
-		tensor.MatMul(z, a, layer.W, threads)
-		if k < net.NumLayers()-1 {
-			tensor.AddBiasReLU(z, layer.B, threads)
-		} else if uerr := sched.DynamicCtx(ctx, z.Rows, 256, threads, func(s, e int) {
-			tensor.AddBiasRange(z, layer.B, s, e)
-		}); uerr != nil {
-			usp.End()
-			utsp.End()
-			lsp.End()
-			return nil, uerr
-		}
-		usp.End()
-		utsp.End()
-		lsp.End()
-		opts.Tel.Add(telemetry.CtrGEMMFLOPs, 2*int64(blk.NumDst)*int64(layer.In())*int64(layer.Out()))
-		h = z
-	}
-	return h, nil
 }

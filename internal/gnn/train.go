@@ -74,9 +74,8 @@ func (t *Trainer) EpochContext(ctx context.Context) (res EpochResult, err error)
 
 func (t *Trainer) runEpoch(ctx context.Context) (EpochResult, error) {
 	opts := t.Opts
-	opts.Ctx = ctx
 	opts.DropoutSeed = int64(t.epoch) * 1_000_003
-	st, err := Forward(t.Net, t.W, opts)
+	st, err := Forward(ctx, t.Net, t.W, opts)
 	if err != nil {
 		return EpochResult{}, err
 	}
@@ -88,7 +87,7 @@ func (t *Trainer) runEpoch(ctx context.Context) (EpochResult, error) {
 		return EpochResult{}, fmt.Errorf("gnn: logits diverged to NaN/Inf at epoch %d", t.epoch+1)
 	}
 	acc := Accuracy(st.Logits(), t.W.Labels)
-	if err := Backward(t.Net, t.W, st, dLogits, t.grads, opts); err != nil {
+	if err := Backward(ctx, t.Net, t.W, st, dLogits, t.grads, opts); err != nil {
 		return EpochResult{}, err
 	}
 	// Last exit before weights mutate: a cancellation or injected fault
@@ -139,7 +138,6 @@ func Infer(net *Network, w *Workload, opts RunOptions) (*ForwardState, error) {
 // granularity.
 func InferContext(ctx context.Context, net *Network, w *Workload, opts RunOptions) (st *ForwardState, err error) {
 	opts.Train = false
-	opts.Ctx = ctx
-	opts.Tel.Do(telemetry.PhaseInfer, func() { st, err = Forward(net, w, opts) })
+	opts.Tel.Do(telemetry.PhaseInfer, func() { st, err = Forward(ctx, net, w, opts) })
 	return st, err
 }

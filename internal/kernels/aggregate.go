@@ -63,27 +63,19 @@ func prefetchVertex(g *graph.CSR, src Source, v int) float32 {
 	return sink
 }
 
-// Basic is the paper's parallel vectorized aggregation (Algorithm 1):
+// BasicCtx is the paper's parallel vectorized aggregation (Algorithm 1):
 // dynamic scheduling over vertex chunks, width-specialised inner loops, and
-// software prefetch of the features needed D vertices ahead. A worker panic
-// re-panics on the calling goroutine as a *sched.WorkerError; BasicCtx is
-// the error-returning, cancellable form.
-func Basic(out *tensor.Matrix, g *graph.CSR, factors []float32, src Source, opt Options) {
-	if err := BasicCtx(context.Background(), out, g, factors, src, opt); err != nil {
-		panic(err)
-	}
-}
-
-// BasicCtx is Basic observing ctx at task boundaries and returning worker
-// panics as *sched.WorkerError instead of crashing. With a background
-// context the scheduler's uncancellable fast path is taken, so the kernel
-// pays nothing per row for the error plumbing.
+// software prefetch of the features needed D vertices ahead. It observes
+// ctx at task boundaries and returns worker panics as *sched.WorkerError
+// instead of crashing; shape errors panic on the calling goroutine. With a
+// background context the scheduler's uncancellable fast path is taken, so
+// the kernel pays nothing per row for the error plumbing.
 func BasicCtx(ctx context.Context, out *tensor.Matrix, g *graph.CSR, factors []float32, src Source, opt Options) error {
 	n := g.NumVertices()
 	checkAggArgs(out, n, g.NumEdges(), factors, src)
 	dist := opt.PrefetchDistance
 	_, srcCompressed := src.(*CompressedSource)
-	return sched.DynamicTelCtx(ctx, n, opt.taskSize(), opt.Threads, opt.Tel, func(_, start, end int) {
+	return sched.DynamicCtx(ctx, n, opt.taskSize(), opt.Threads, opt.Tel, func(_, start, end int) {
 		var sink float32
 		var edges int64
 		for i := start; i < end; i++ {
@@ -151,27 +143,17 @@ func AggregateBlockByVertex(dst *tensor.Matrix, g *graph.CSR, factors []float32,
 	foldSink(sink)
 }
 
-// DistGNN is the baseline aggregation standing in for DistGNN's
+// DistGNNCtx is the baseline aggregation standing in for DistGNN's
 // single-socket kernel (§6): statically scheduled over contiguous vertex
 // ranges, generic (non-specialised) inner loop, no software prefetch, no
 // processing-order support. The evaluation normalises everything to this.
-func DistGNN(out *tensor.Matrix, g *graph.CSR, factors []float32, h *tensor.Matrix, threads int) {
-	DistGNNTel(out, g, factors, h, threads, nil)
-}
-
-// DistGNNTel is DistGNN with kernel counters and per-worker accounting.
-func DistGNNTel(out *tensor.Matrix, g *graph.CSR, factors []float32, h *tensor.Matrix, threads int, tel *telemetry.Sink) {
-	if err := DistGNNCtx(context.Background(), out, g, factors, h, threads, tel); err != nil {
-		panic(err)
-	}
-}
-
-// DistGNNCtx is DistGNNTel with cancellation (checked before each worker's
-// static range) and panic containment.
+// Kernel counters and per-worker accounting go to tel (nil disables them);
+// ctx is checked before each worker's static range, and worker panics come
+// back as *sched.WorkerError.
 func DistGNNCtx(ctx context.Context, out *tensor.Matrix, g *graph.CSR, factors []float32, h *tensor.Matrix, threads int, tel *telemetry.Sink) error {
 	n := g.NumVertices()
 	checkAggArgs(out, n, g.NumEdges(), factors, NewDenseSource(h))
-	return sched.StaticTelCtx(ctx, n, threads, tel, func(_, start, end int) {
+	return sched.StaticCtx(ctx, n, threads, tel, func(_, start, end int) {
 		var edges int64
 		for v := start; v < end; v++ {
 			dst := out.Row(v)

@@ -18,7 +18,7 @@ func TestCompressedSourceWithOrder(t *testing.T) {
 	want := reference(g, f, h)
 	cm := compress.FromDense(h, 2)
 	got := tensor.NewMatrix(g.NumVertices(), 96)
-	Basic(got, g, f, NewCompressedSource(cm), Options{
+	basic(t, got, g, f, NewCompressedSource(cm), Options{
 		Threads: 3, Order: locality.Reorder(g), PrefetchDistance: 4, TaskSize: 13,
 	})
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
@@ -39,11 +39,11 @@ func TestStarGraphLoadImbalance(t *testing.T) {
 	h.FillRandom(rand.New(rand.NewSource(4)), 1)
 	want := reference(g, f, h)
 	got := tensor.NewMatrix(500, 24)
-	Basic(got, g, f, NewDenseSource(h), Options{Threads: 4, TaskSize: 8})
+	basic(t, got, g, f, NewDenseSource(h), Options{Threads: 4, TaskSize: 8})
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("basic on star: max diff %g", d)
 	}
-	DistGNN(got, g, f, h, 4)
+	distGNN(t, got, g, f, h, 4)
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("distgnn on star: max diff %g", d)
 	}
@@ -59,7 +59,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	h := tensor.NewMatrix(1, 4)
 	h.Set(0, 2, 7)
 	out := tensor.NewMatrix(1, 4)
-	Basic(out, g, f, NewDenseSource(h), Options{})
+	basic(t, out, g, f, NewDenseSource(h), Options{})
 	if out.At(0, 2) != 7 {
 		t.Fatalf("self mean aggregation got %g", out.At(0, 2))
 	}
@@ -69,7 +69,7 @@ func TestSingleVertexGraph(t *testing.T) {
 func TestPrefetchDistanceBeyondEnd(t *testing.T) {
 	g, f, h := fixture(t, graph.Wikipedia, 40, 16)
 	out := tensor.NewMatrix(g.NumVertices(), 16)
-	Basic(out, g, f, NewDenseSource(h), Options{PrefetchDistance: 1000})
+	basic(t, out, g, f, NewDenseSource(h), Options{PrefetchDistance: 1000})
 	if d := tensor.MaxAbsDiff(out, reference(g, f, h)); d > 1e-4 {
 		t.Fatalf("max diff %g", d)
 	}
@@ -82,6 +82,6 @@ func BenchmarkCompressedAggregation(b *testing.B) {
 	src := NewCompressedSource(cm)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Basic(out, g, f, src, Options{Threads: 2})
+		basic(b, out, g, f, src, Options{Threads: 2})
 	}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,12 +32,29 @@ func reference(g *graph.CSR, f []float32, h *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
+// basic runs BasicCtx under context.Background(), failing tb on an error.
+func basic(tb testing.TB, out *tensor.Matrix, g *graph.CSR, f []float32, src Source, opt Options) {
+	tb.Helper()
+	if err := BasicCtx(context.Background(), out, g, f, src, opt); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// distGNN runs DistGNNCtx under context.Background() without telemetry,
+// failing tb on an error.
+func distGNN(tb testing.TB, out *tensor.Matrix, g *graph.CSR, f []float32, h *tensor.Matrix, threads int) {
+	tb.Helper()
+	if err := DistGNNCtx(context.Background(), out, g, f, h, threads, nil); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestBasicMatchesSpMM(t *testing.T) {
 	for _, cols := range []int{5, 16, 100, 256} {
 		g, f, h := fixture(t, graph.Wikipedia, 300, cols)
 		want := reference(g, f, h)
 		got := tensor.NewMatrix(g.NumVertices(), cols)
-		Basic(got, g, f, NewDenseSource(h), Options{Threads: 3, TaskSize: 17, PrefetchDistance: 4})
+		basic(t, got, g, f, NewDenseSource(h), Options{Threads: 3, TaskSize: 17, PrefetchDistance: 4})
 		if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 			t.Fatalf("cols=%d: max diff %g", cols, d)
 		}
@@ -48,7 +66,7 @@ func TestBasicCompressedMatchesDense(t *testing.T) {
 	want := reference(g, f, h)
 	cm := compress.FromDense(h, 2)
 	got := tensor.NewMatrix(g.NumVertices(), 128)
-	Basic(got, g, f, NewCompressedSource(cm), Options{Threads: 2, PrefetchDistance: 2})
+	basic(t, got, g, f, NewCompressedSource(cm), Options{Threads: 2, PrefetchDistance: 2})
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("max diff %g", d)
 	}
@@ -62,7 +80,7 @@ func TestBasicWithProcessingOrder(t *testing.T) {
 		locality.Randomized(g.NumVertices(), 5),
 	} {
 		got := tensor.NewMatrix(g.NumVertices(), 32)
-		Basic(got, g, f, NewDenseSource(h), Options{Threads: 2, Order: order, PrefetchDistance: 3})
+		basic(t, got, g, f, NewDenseSource(h), Options{Threads: 2, Order: order, PrefetchDistance: 3})
 		if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 			t.Fatalf("order changed results: max diff %g", d)
 		}
@@ -73,7 +91,7 @@ func TestDistGNNMatchesSpMM(t *testing.T) {
 	g, f, h := fixture(t, graph.Twitter, 300, 64)
 	want := reference(g, f, h)
 	got := tensor.NewMatrix(g.NumVertices(), 64)
-	DistGNN(got, g, f, h, 3)
+	distGNN(t, got, g, f, h, 3)
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("max diff %g", d)
 	}
@@ -121,7 +139,7 @@ func TestZeroDegreeVertexYieldsZeroRow(t *testing.T) {
 	for j := 0; j < 8; j++ {
 		out.Set(2, j, 99) // stale garbage that must be cleared
 	}
-	Basic(out, g, f, NewDenseSource(h), Options{Threads: 1})
+	basic(t, out, g, f, NewDenseSource(h), Options{Threads: 1})
 	for j := 0; j < 8; j++ {
 		if out.At(2, j) != 0 {
 			t.Fatalf("isolated vertex row not zeroed: col %d = %g", j, out.At(2, j))
@@ -157,10 +175,11 @@ func TestMakeAXPYSpecializedMatchesGeneric(t *testing.T) {
 
 func TestCheckAggArgsPanics(t *testing.T) {
 	g, f, h := fixture(t, graph.Products, 50, 16)
+	ctx, src := context.Background(), NewDenseSource(h)
 	cases := []func(){
-		func() { Basic(tensor.NewMatrix(10, 16), g, f, NewDenseSource(h), Options{}) },
-		func() { Basic(tensor.NewMatrix(g.NumVertices(), 8), g, f, NewDenseSource(h), Options{}) },
-		func() { Basic(tensor.NewMatrix(g.NumVertices(), 16), g, f[:3], NewDenseSource(h), Options{}) },
+		func() { _ = BasicCtx(ctx, tensor.NewMatrix(10, 16), g, f, src, Options{}) },
+		func() { _ = BasicCtx(ctx, tensor.NewMatrix(g.NumVertices(), 8), g, f, src, Options{}) },
+		func() { _ = BasicCtx(ctx, tensor.NewMatrix(g.NumVertices(), 16), g, f[:3], src, Options{}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -180,7 +199,7 @@ func BenchmarkBasicAggregation(b *testing.B) {
 	src := NewDenseSource(h)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Basic(out, g, f, src, Options{Threads: 2, PrefetchDistance: 4})
+		basic(b, out, g, f, src, Options{Threads: 2, PrefetchDistance: 4})
 	}
 }
 
@@ -189,6 +208,6 @@ func BenchmarkDistGNNAggregation(b *testing.B) {
 	out := tensor.NewMatrix(g.NumVertices(), 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DistGNN(out, g, f, h, 2)
+		distGNN(b, out, g, f, h, 2)
 	}
 }

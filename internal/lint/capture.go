@@ -9,12 +9,12 @@ import (
 // GoroutineCapture guards the race-free output-parallel invariant of
 // Algorithm 1 (§4.1): every worker must own a disjoint partition of the
 // output, identified by an index it computed itself. A closure that runs
-// concurrently — passed to a go statement or to the sched package's worker
-// drivers (Dynamic*, Static*, ForEachThread) — and writes through captured
-// shared state without any worker-local index in the access path is almost
-// always a data race: either a direct write to a captured variable
-// (sum += x) or an indexed write whose index is itself captured
-// (out[i] with i from an enclosing range).
+// concurrently — passed to a go statement or to one of the sched package's
+// runners (Dynamic, DynamicCtx, StaticCtx, ForEachThreadCtx) — and writes
+// through captured shared state without any worker-local index in the
+// access path is almost always a data race: either a direct write to a
+// captured variable (sum += x) or an indexed write whose index is itself
+// captured (out[i] with i from an enclosing range).
 //
 // Writes whose access path involves at least one closure-local variable
 // (parameters like worker/start/end, or derived locals) are treated as
@@ -28,12 +28,7 @@ type GoroutineCapture struct {
 // spawnFuncs are the sched entry points that run their closure argument on
 // worker goroutines.
 var spawnFuncs = map[string]bool{
-	"Dynamic": true, "DynamicTel": true,
-	"DynamicCtx": true, "DynamicTelCtx": true,
-	"Static": true, "StaticTel": true,
-	"StaticCtx": true, "StaticTelCtx": true,
-	"ForEachThread": true, "ForEachThreadCtx": true,
-	"ForEachThreadTelCtx": true,
+	"Dynamic": true, "DynamicCtx": true, "StaticCtx": true, "ForEachThreadCtx": true,
 }
 
 // Name implements Checker.

@@ -10,13 +10,12 @@ import (
 // above the kernels (gnn, dma, graph), fanning work out through the
 // uncancellable sched entry points silently severs the cancellation chain —
 // a cancelled training run or a timed-out inference request would keep all
-// cores busy until the phase finishes. Any call to sched.Dynamic/Static/
-// ForEachThread (and their Tel forms, and NewCursor) from a function that
-// has a context.Context in scope must use the *Ctx variant and pass the
-// context on.
+// cores busy until the phase finishes. Any call to sched.Dynamic or
+// sched.NewCursor from a function that has a context.Context in scope must
+// use DynamicCtx / NewCursorCtx and pass the context on.
 //
 // Functions with no context in scope (pure computational helpers) keep the
-// legacy entry points: the uncancellable fast path is the right default
+// uncancellable forms: the uncancellable fast path is the right default
 // when there is nothing to propagate.
 type CtxPropagation struct {
 	// Module is the module path used to resolve covered packages.
@@ -29,13 +28,8 @@ var ctxPkgs = []string{"internal/gnn", "internal/dma", "internal/graph"}
 
 // uncancellableSched maps each non-ctx sched entry point to its ctx variant.
 var uncancellableSched = map[string]string{
-	"Dynamic":          "DynamicCtx",
-	"DynamicTel":       "DynamicTelCtx",
-	"Static":           "StaticCtx",
-	"StaticTel":        "StaticTelCtx",
-	"ForEachThread":    "ForEachThreadCtx",
-	"ForEachThreadTel": "ForEachThreadTelCtx",
-	"NewCursor":        "NewCursorCtx",
+	"Dynamic":   "DynamicCtx",
+	"NewCursor": "NewCursorCtx",
 }
 
 // Name implements Checker.

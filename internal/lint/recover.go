@@ -51,7 +51,7 @@ func (c *GoroutineRecover) Check(pkg *Package) []Finding {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				out = append(out, pkg.finding(c.Name(), g,
-					"go statement outside internal/sched: spawn workers via sched.Dynamic/Static/ForEachThread (or their Ctx forms) so a panic becomes a *sched.WorkerError instead of killing the process"))
+					"go statement outside internal/sched: spawn workers via sched.Dynamic/DynamicCtx/StaticCtx/ForEachThreadCtx so a panic becomes a *sched.WorkerError instead of killing the process"))
 			}
 			return true
 		})

@@ -5,6 +5,7 @@
 package badcapture
 
 import (
+	"context"
 	"sync"
 
 	"graphite/internal/sched"
@@ -13,7 +14,7 @@ import (
 // SumRace accumulates into a captured scalar from every worker.
 func SumRace(vals []float64, threads int) float64 {
 	var sum float64
-	sched.Dynamic(len(vals), 64, threads, func(s, e int) {
+	sched.Dynamic(len(vals), 64, threads, nil, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			sum += vals[i] // want goroutine-capture
 		}
@@ -25,7 +26,7 @@ func SumRace(vals []float64, threads int) float64 {
 // slot decided by the enclosing loop, not by the worker.
 func IndexRace(out []int, threads int) {
 	for k := range out {
-		sched.ForEachThread(threads, func(thread int) {
+		_ = sched.ForEachThreadCtx(context.Background(), threads, nil, func(thread int) {
 			out[k] = thread // want goroutine-capture
 		})
 	}
@@ -52,7 +53,7 @@ func StoredRace() {
 // Partitioned is the blessed shape: each worker writes rows selected by an
 // index it computed from its own chunk bounds.
 func Partitioned(out []float64, threads int) {
-	sched.Dynamic(len(out), 64, threads, func(s, e int) {
+	_ = sched.StaticCtx(context.Background(), len(out), threads, nil, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			out[i] = float64(i)
 		}
@@ -62,7 +63,7 @@ func Partitioned(out []float64, threads int) {
 // PerWorkerSlots partitions by the worker id itself.
 func PerWorkerSlots(threads int) []int64 {
 	slots := make([]int64, threads)
-	sched.ForEachThread(threads, func(thread int) {
+	_ = sched.ForEachThreadCtx(context.Background(), threads, nil, func(thread int) {
 		slots[thread]++
 	})
 	return slots
@@ -72,7 +73,7 @@ func PerWorkerSlots(threads int) []int64 {
 func Locked(vals []float64, threads int) float64 {
 	var mu sync.Mutex
 	var sum float64
-	sched.Dynamic(len(vals), 64, threads, func(s, e int) {
+	_ = sched.DynamicCtx(context.Background(), len(vals), 64, threads, nil, func(_, s, e int) {
 		var local float64
 		for i := s; i < e; i++ {
 			local += vals[i]

@@ -8,17 +8,18 @@ import (
 	"context"
 
 	"graphite/internal/sched"
+	"graphite/internal/telemetry"
 )
 
 func fanOut(ctx context.Context, n, threads int, rows []float32) error {
-	sched.Dynamic(n, 64, threads, func(s, e int) { // want ctx-propagation
+	sched.Dynamic(n, 64, threads, nil, func(_, s, e int) { // want ctx-propagation
 		for i := s; i < e; i++ {
 			rows[i] = 0
 		}
 	})
 	cur := sched.NewCursor(n, 64) // want ctx-propagation
 	_, _, _ = cur.Next()
-	return sched.DynamicCtx(ctx, n, 64, threads, func(s, e int) {}) // clean: ctx variant
+	return sched.DynamicCtx(ctx, n, 64, threads, nil, func(_, s, e int) {}) // clean: ctx variant
 }
 
 type opts struct {
@@ -27,18 +28,22 @@ type opts struct {
 
 func fieldScoped(o opts, n, threads int) {
 	_ = o.Ctx
-	sched.Static(n, threads, func(s, e int) {}) // want ctx-propagation
+	sched.Dynamic(n, 64, threads, nil, func(_, s, e int) {}) // want ctx-propagation
 }
 
-func telForms(ctx context.Context, n, threads int) {
-	_ = ctx
-	sched.DynamicTel(n, 64, threads, nil, func(w, s, e int) {}) // want ctx-propagation
-	sched.StaticTel(n, threads, nil, func(w, s, e int) {})      // want ctx-propagation
-	sched.ForEachThread(threads, func(t int) {})                // want ctx-propagation
+func telForms(ctx context.Context, n, threads int, tel *telemetry.Sink) error {
+	sched.Dynamic(n, 64, threads, tel, func(w, s, e int) {})  // want ctx-propagation
+	sched.Dynamic(n, 256, threads, tel, func(w, s, e int) {}) // want ctx-propagation
+	cur := sched.NewCursor(n, 8)                              // want ctx-propagation
+	_, _, _ = cur.Next()
+	if err := sched.StaticCtx(ctx, n, threads, tel, func(w, s, e int) {}); err != nil { // clean: ctx runner
+		return err
+	}
+	return sched.ForEachThreadCtx(ctx, threads, tel, func(t int) {}) // clean: ctx runner
 }
 
 func pure(n, threads int, rows []float32) {
-	sched.Dynamic(n, 64, threads, func(s, e int) { // clean: no ctx in scope
+	sched.Dynamic(n, 64, threads, nil, func(_, s, e int) { // clean: no ctx in scope
 		for i := s; i < e; i++ {
 			rows[i] = 0
 		}
@@ -50,5 +55,5 @@ func pure(n, threads int, rows []float32) {
 func waived(ctx context.Context, threads int) {
 	_ = ctx
 	//lint:ignore ctx-propagation best-effort cache warm-up must complete even when the request is cancelled
-	sched.ForEachThread(threads, func(t int) {})
+	sched.Dynamic(threads, 1, threads, nil, func(t, _, _ int) {})
 }

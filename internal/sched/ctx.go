@@ -44,20 +44,14 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// DynamicCtx is Dynamic with cooperative cancellation and panic
-// containment: workers observe ctx at chunk boundaries (chunk granularity
-// bounds cancellation latency) and a panic in any worker is captured into a
-// *WorkerError instead of killing the process. It returns the first
-// worker's *WorkerError, ctx.Err() when cancelled, or nil.
-func DynamicCtx(ctx context.Context, n, chunk, threads int, body func(start, end int)) error {
-	return DynamicTelCtx(ctx, n, chunk, threads, nil, func(_, start, end int) { body(start, end) })
-}
-
-// DynamicTelCtx is the scheduler's dynamic core: DynamicTel plus
-// cancellation and panic containment. Every other Dynamic entry point is a
-// thin wrapper around it. Recovered panics are counted on tel's
+// DynamicCtx is the scheduler's dynamic core, Dynamic with cooperative
+// cancellation and panic containment: workers observe ctx at chunk
+// boundaries (chunk granularity bounds cancellation latency) and a panic in
+// any worker is captured into a *WorkerError instead of killing the
+// process. It returns the first worker's *WorkerError, ctx.Err() when
+// cancelled, or nil. Recovered panics are counted on tel's
 // panics-recovered counter.
-func DynamicTelCtx(ctx context.Context, n, chunk, threads int, tel *telemetry.Sink, body func(worker, start, end int)) error {
+func DynamicCtx(ctx context.Context, n, chunk, threads int, tel *telemetry.Sink, body func(worker, start, end int)) error {
 	if n <= 0 {
 		return ctxErr(ctx)
 	}
@@ -72,31 +66,15 @@ func DynamicTelCtx(ctx context.Context, n, chunk, threads int, tel *telemetry.Si
 	if maxWorkers := (n + chunk - 1) / chunk; threads > maxWorkers {
 		threads = maxWorkers
 	}
-	run := func(worker, start, end int) {
-		if tel.Enabled() {
-			t0 := time.Now()
-			body(worker, start, end)
-			tel.WorkerClaim(worker, 1, int64(end-start), time.Since(t0))
-			tel.Add(telemetry.CtrSchedChunks, 1)
-			tel.Add(telemetry.CtrSchedRows, int64(end-start))
-			return
-		}
-		body(worker, start, end)
-	}
-
 	done := ctxDone(ctx)
 	var cursor atomic.Int64
-	g := newContainGroup(tel)
-	worker := func(id int) {
+	g := &containGroup{tel: tel}
+	g.spawn(threads, func(id int) {
 		cs, ce := -1, -1
 		defer g.capture(id, &cs, &ce)
 		for !g.stopped() {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
+			if cancelled(done) {
+				return
 			}
 			start := int(cursor.Add(int64(chunk))) - chunk
 			if start >= n {
@@ -107,33 +85,22 @@ func DynamicTelCtx(ctx context.Context, n, chunk, threads int, tel *telemetry.Si
 				end = n
 			}
 			cs, ce = start, end
-			run(id, start, end)
+			claim(tel, body, id, start, end)
 		}
-	}
-	if threads == 1 {
-		g.wg.Add(1)
-		worker(0)
-	} else {
-		g.wg.Add(threads)
-		for t := 0; t < threads; t++ {
-			go worker(t)
-		}
-	}
+	})
 	return g.wait(ctx)
 }
 
-// StaticCtx is Static with panic containment and a cancellation check
-// before each worker starts its range. Static hands each worker one
-// contiguous block, so a cancellation arriving mid-block is only observed
-// once the block completes — use DynamicCtx when cancellation latency
-// matters.
-func StaticCtx(ctx context.Context, n, threads int, body func(start, end int)) error {
-	return StaticTelCtx(ctx, n, threads, nil, func(_, start, end int) { body(start, end) })
-}
-
-// StaticTelCtx is the static-partitioning core: StaticTel plus cancellation
-// and panic containment.
-func StaticTelCtx(ctx context.Context, n, threads int, tel *telemetry.Sink, body func(worker, start, end int)) error {
+// StaticCtx runs body(worker, start, end) over [0, n) with one contiguous
+// block per thread, mirroring OpenMP's schedule(static); the DistGNN-style
+// baseline kernel uses it, the paper's optimized kernels use DynamicCtx.
+// Each worker's range is accounted on tel as one claim, so comparing the
+// busy-time imbalance against DynamicCtx's is the §4.1 argument for
+// dynamic scheduling in numbers. Panics are contained as in DynamicCtx;
+// ctx is checked before each worker starts its range, so a cancellation
+// arriving mid-block is only observed once the block completes — use
+// DynamicCtx when cancellation latency matters.
+func StaticCtx(ctx context.Context, n, threads int, tel *telemetry.Sink, body func(worker, start, end int)) error {
 	if n <= 0 {
 		return ctxErr(ctx)
 	}
@@ -143,94 +110,72 @@ func StaticTelCtx(ctx context.Context, n, threads int, tel *telemetry.Sink, body
 	if threads > n {
 		threads = n
 	}
-	run := func(worker, start, end int) {
-		if tel.Enabled() {
-			t0 := time.Now()
-			body(worker, start, end)
-			tel.WorkerClaim(worker, 1, int64(end-start), time.Since(t0))
-			tel.Add(telemetry.CtrSchedChunks, 1)
-			tel.Add(telemetry.CtrSchedRows, int64(end-start))
-			return
-		}
-		body(worker, start, end)
-	}
-
 	done := ctxDone(ctx)
 	per := (n + threads - 1) / threads
-	g := newContainGroup(tel)
-	worker := func(id, s, e int) {
-		cs, ce := s, e
-		defer g.capture(id, &cs, &ce)
-		if g.stopped() || s >= e {
+	g := &containGroup{tel: tel}
+	g.spawn(threads, func(id int) {
+		start, end := id*per, min(id*per+per, n)
+		defer g.capture(id, &start, &end)
+		if g.stopped() || start >= end || cancelled(done) {
 			return
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
-		run(id, s, e)
-	}
-	if threads == 1 {
-		g.wg.Add(1)
-		worker(0, 0, n)
-	} else {
-		g.wg.Add(threads)
-		for t := 0; t < threads; t++ {
-			start := t * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			go worker(t, start, end)
-		}
-	}
+		claim(tel, body, id, start, end)
+	})
 	return g.wait(ctx)
 }
 
-// ForEachThreadCtx is ForEachThread with panic containment: body(thread)
-// runs once per worker thread, a panic in any body is captured into a
-// *WorkerError, and ctx is checked before each body starts. Bodies that
-// loop over a Cursor should build it with NewCursorCtx so cancellation is
-// also observed at chunk boundaries inside the loop.
-func ForEachThreadCtx(ctx context.Context, threads int, body func(thread int)) error {
-	return ForEachThreadTelCtx(ctx, threads, nil, body)
-}
-
-// ForEachThreadTelCtx is ForEachThreadCtx counting recovered panics on tel.
-func ForEachThreadTelCtx(ctx context.Context, threads int, tel *telemetry.Sink, body func(thread int)) error {
+// ForEachThreadCtx runs body(thread) once on each of the given number of
+// worker threads and waits for all of them. Kernels that keep per-thread
+// state (e.g. the ping-pong descriptor batches in the DMA driver, Alg. 5,
+// or the fused layer's a-block buffer) use it to own their thread loop
+// while claiming tasks dynamically through a Cursor; such bodies should
+// build it with NewCursorCtx so cancellation is also observed at chunk
+// boundaries inside the loop. A panic in any body is captured into a
+// *WorkerError (counted on tel), and ctx is checked before each body
+// starts.
+func ForEachThreadCtx(ctx context.Context, threads int, tel *telemetry.Sink, body func(thread int)) error {
 	if threads <= 0 {
 		threads = DefaultThreads()
 	}
 	done := ctxDone(ctx)
-	g := newContainGroup(tel)
-	worker := func(id int) {
+	g := &containGroup{tel: tel}
+	g.spawn(threads, func(id int) {
 		cs, ce := -1, -1
 		defer g.capture(id, &cs, &ce)
-		if g.stopped() {
+		if g.stopped() || cancelled(done) {
 			return
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
 		body(id)
-	}
-	if threads == 1 {
-		g.wg.Add(1)
-		worker(0)
-	} else {
-		g.wg.Add(threads)
-		for t := 0; t < threads; t++ {
-			go worker(t)
-		}
-	}
+	})
 	return g.wait(ctx)
+}
+
+// claim runs one claimed range, accounting it to its worker (one claim,
+// its rows and busy wall time) when tel is a live sink.
+func claim(tel *telemetry.Sink, body func(worker, start, end int), worker, start, end int) {
+	if !tel.Enabled() {
+		body(worker, start, end)
+		return
+	}
+	t0 := time.Now()
+	body(worker, start, end)
+	tel.WorkerClaim(worker, 1, int64(end-start), time.Since(t0))
+	tel.Add(telemetry.CtrSchedChunks, 1)
+	tel.Add(telemetry.CtrSchedRows, int64(end-start))
+}
+
+// cancelled polls a done channel without blocking; a nil channel (an
+// uncancellable context) is never cancelled.
+func cancelled(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // containGroup coordinates a set of workers that contain panics: the first
@@ -244,8 +189,18 @@ type containGroup struct {
 	werr *WorkerError
 }
 
-func newContainGroup(tel *telemetry.Sink) *containGroup {
-	return &containGroup{tel: tel}
+// spawn starts worker(id) for every id in [0, threads): a single worker
+// runs inline on the calling goroutine, more get one goroutine each. Each
+// worker must defer g.capture.
+func (g *containGroup) spawn(threads int, worker func(id int)) {
+	g.wg.Add(threads)
+	if threads == 1 {
+		worker(0)
+		return
+	}
+	for t := 0; t < threads; t++ {
+		go worker(t)
+	}
 }
 
 // stopped reports whether a worker has panicked; the others bail out at the

@@ -17,7 +17,7 @@ func TestDynamicCtxCoversAllWithoutCancel(t *testing.T) {
 		{1, 1, 1}, {7, 3, 2}, {100, 7, 4}, {100, 1000, 4}, {64, 8, 8},
 	} {
 		counts := make([]int32, tc.n)
-		err := DynamicCtx(context.Background(), tc.n, tc.chunk, tc.threads, func(start, end int) {
+		err := DynamicCtx(context.Background(), tc.n, tc.chunk, tc.threads, nil, func(_, start, end int) {
 			for i := start; i < end; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
@@ -48,7 +48,7 @@ func TestDynamicCtxCancellationLatency(t *testing.T) {
 	var started, afterCancel atomic.Int64
 	var cancelled atomic.Bool
 	var once sync.Once
-	err := DynamicCtx(ctx, n, chunk, threads, func(start, end int) {
+	err := DynamicCtx(ctx, n, chunk, threads, nil, func(_, start, end int) {
 		if cancelled.Load() {
 			afterCancel.Add(1)
 		}
@@ -79,7 +79,7 @@ func TestDynamicCtxCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := atomic.Int64{}
-	err := DynamicCtx(ctx, 1000, 8, 4, func(start, end int) { ran.Add(1) })
+	err := DynamicCtx(ctx, 1000, 8, 4, nil, func(_, start, end int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -92,7 +92,7 @@ func TestDynamicCtxCancelledBeforeStart(t *testing.T) {
 
 func TestDynamicCtxContainsPanic(t *testing.T) {
 	tel := telemetry.New(0)
-	err := DynamicTelCtx(context.Background(), 1000, 10, 4, tel, func(worker, start, end int) {
+	err := DynamicCtx(context.Background(), 1000, 10, 4, tel, func(worker, start, end int) {
 		if start == 500 {
 			panic("boom at 500")
 		}
@@ -120,7 +120,7 @@ func TestDynamicCtxContainsPanic(t *testing.T) {
 
 func TestDynamicCtxPanicStopsOtherWorkers(t *testing.T) {
 	var ran atomic.Int64
-	err := DynamicCtx(context.Background(), 1<<20, 16, 4, func(start, end int) {
+	err := DynamicCtx(context.Background(), 1<<20, 16, 4, nil, func(_, start, end int) {
 		if start == 0 {
 			panic("first chunk dies")
 		}
@@ -151,7 +151,7 @@ func TestDynamicWrapperRepanicsWorkerError(t *testing.T) {
 			t.Fatalf("recovered %v, want *WorkerError", we)
 		}
 	}()
-	Dynamic(100, 10, 2, func(start, end int) { panic("kernel invariant") })
+	Dynamic(100, 10, 2, nil, func(_, start, end int) { panic("kernel invariant") })
 }
 
 // TestDynamicClampsThreadsToChunks is the goroutine-count satellite: with
@@ -159,7 +159,7 @@ func TestDynamicWrapperRepanicsWorkerError(t *testing.T) {
 func TestDynamicClampsThreadsToChunks(t *testing.T) {
 	var maxWorker atomic.Int64
 	maxWorker.Store(-1)
-	err := DynamicTelCtx(context.Background(), 10, 64, 8, nil, func(worker, start, end int) {
+	err := DynamicCtx(context.Background(), 10, 64, 8, nil, func(worker, start, end int) {
 		for {
 			cur := maxWorker.Load()
 			if int64(worker) <= cur || maxWorker.CompareAndSwap(cur, int64(worker)) {
@@ -175,7 +175,7 @@ func TestDynamicClampsThreadsToChunks(t *testing.T) {
 	}
 	// Telemetry accounting must agree: exactly one worker slot reported.
 	tel := telemetry.New(0)
-	if err := DynamicTelCtx(context.Background(), 10, 4, 16, tel, func(worker, start, end int) {}); err != nil {
+	if err := DynamicCtx(context.Background(), 10, 4, 16, tel, func(worker, start, end int) {}); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Snapshot()
@@ -185,7 +185,7 @@ func TestDynamicClampsThreadsToChunks(t *testing.T) {
 }
 
 func TestStaticCtxContainsPanicAndCancels(t *testing.T) {
-	err := StaticCtx(context.Background(), 100, 4, func(start, end int) {
+	err := StaticCtx(context.Background(), 100, 4, nil, func(_, start, end int) {
 		if start == 0 {
 			panic("static worker dies")
 		}
@@ -197,7 +197,7 @@ func TestStaticCtxContainsPanicAndCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := atomic.Int64{}
-	if err := StaticCtx(ctx, 100, 4, func(start, end int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+	if err := StaticCtx(ctx, 100, 4, nil, func(_, start, end int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran.Load() != 0 {
@@ -206,7 +206,7 @@ func TestStaticCtxContainsPanicAndCancels(t *testing.T) {
 }
 
 func TestForEachThreadCtxContainsPanic(t *testing.T) {
-	err := ForEachThreadCtx(context.Background(), 4, func(thread int) {
+	err := ForEachThreadCtx(context.Background(), 4, nil, func(thread int) {
 		if thread == 2 {
 			panic("thread 2 dies")
 		}
@@ -246,15 +246,15 @@ func TestCursorCtxStopsOnCancel(t *testing.T) {
 }
 
 func TestCtxVariantsEmptySpace(t *testing.T) {
-	if err := DynamicCtx(context.Background(), 0, 4, 2, func(int, int) { t.Fatal("ran") }); err != nil {
+	if err := DynamicCtx(context.Background(), 0, 4, 2, nil, func(int, int, int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := StaticCtx(context.Background(), -3, 2, func(int, int) { t.Fatal("ran") }); err != nil {
+	if err := StaticCtx(context.Background(), -3, 2, nil, func(int, int, int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := DynamicCtx(ctx, 0, 4, 2, func(int, int) {}); !errors.Is(err, context.Canceled) {
+	if err := DynamicCtx(ctx, 0, 4, 2, nil, func(int, int, int) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("empty cancelled run returned %v, want context.Canceled", err)
 	}
 }

@@ -4,17 +4,24 @@
 // The paper schedules aggregation tasks with OpenMP's dynamic scheduler
 // because vertex degrees can follow a power-law distribution and static
 // partitioning leaves threads idle (§4.1). This package reproduces that
-// behaviour: Dynamic hands out fixed-size chunks from an atomic cursor so
-// that fast threads keep pulling work, while Static pre-partitions the
-// iteration space (used as an ablation baseline).
+// behaviour: Dynamic/DynamicCtx hand out fixed-size chunks from an atomic
+// cursor so that fast threads keep pulling work, while StaticCtx
+// pre-partitions the iteration space (the DistGNN-style ablation baseline).
+// ForEachThreadCtx runs one body per worker thread for kernels that own
+// their thread loop and claim tasks through a Cursor.
+//
+// Every runner takes an optional telemetry sink (nil disables the
+// per-worker accounting) and, except ForEachThreadCtx, a
+// body(worker, start, end) over half-open ranges.
 //
 // All worker goroutines in the module are spawned here (enforced by the
 // goroutine-recover lint rule), because this is where panics are contained:
 // a panic inside a worker is captured into a *WorkerError instead of
-// killing the process. The context-aware variants (DynamicCtx, StaticCtx,
-// ForEachThreadCtx and the Tel forms) return it as an error alongside
-// cooperative cancellation; the plain variants re-panic it on the calling
-// goroutine, where the gnn layer's API boundary converts it to an error.
+// killing the process. The context-aware runners (DynamicCtx, StaticCtx,
+// ForEachThreadCtx) return it as an error alongside cooperative
+// cancellation; Dynamic, the uncancellable form for ctx-free helpers,
+// re-panics it on the calling goroutine, where the gnn layer's API boundary
+// converts it to an error.
 package sched
 
 import (
@@ -31,59 +38,29 @@ func DefaultThreads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Dynamic runs body(start, end) over [0, n) in chunks of the given size,
-// distributing chunks dynamically over the worker threads. It mirrors
+// Dynamic runs body(worker, start, end) over [0, n) in chunks of the given
+// size, distributing chunks dynamically over the worker threads. It mirrors
 // OpenMP's schedule(dynamic, chunk): each worker atomically claims the next
 // chunk when it finishes its current one, which balances power-law degree
 // skew across threads. body must be safe to call concurrently on disjoint
-// ranges. A panic in body re-panics on the calling goroutine as a
-// *WorkerError.
-func Dynamic(n, chunk, threads int, body func(start, end int)) {
-	DynamicTel(n, chunk, threads, nil, func(_, start, end int) { body(start, end) })
-}
-
-// DynamicTel is Dynamic with per-worker telemetry: body additionally
-// receives the claiming worker's id, and when tel is a live sink every
-// claimed chunk is accounted (chunk count, rows, busy wall time) so runs
-// can quantify load imbalance across workers. A nil/disabled sink adds a
-// single branch per chunk and nothing per row.
-func DynamicTel(n, chunk, threads int, tel *telemetry.Sink, body func(worker, start, end int)) {
-	mustRun(DynamicTelCtx(context.Background(), n, chunk, threads, tel, body))
-}
-
-// Static runs body(start, end) over [0, n) with a contiguous block per
-// thread, mirroring OpenMP's schedule(static). The DistGNN-style baseline
-// kernel uses this; the paper's optimized kernels use Dynamic.
-func Static(n, threads int, body func(start, end int)) {
-	StaticTel(n, threads, nil, func(_, start, end int) { body(start, end) })
-}
-
-// StaticTel is Static with per-worker telemetry, mirroring DynamicTel: each
-// worker's single contiguous range is accounted as one claim. Comparing the
-// resulting busy-time imbalance against DynamicTel's is the §4.1 argument
-// for dynamic scheduling in numbers.
-func StaticTel(n, threads int, tel *telemetry.Sink, body func(worker, start, end int)) {
-	mustRun(StaticTelCtx(context.Background(), n, threads, tel, body))
-}
-
-// ForEachThread runs body(threadID) once on each of the given number of
-// worker threads and waits for all of them. Kernels that keep per-thread
-// state (e.g. the ping-pong descriptor batches in the DMA driver, Alg. 5)
-// use this to own their thread loop while still claiming tasks dynamically
-// through a Cursor.
-func ForEachThread(threads int, body func(thread int)) {
-	mustRun(ForEachThreadTelCtx(context.Background(), threads, nil, body))
-}
-
-// mustRun re-raises a contained worker panic for the entry points without
-// an error return. With a background context the core can only fail by
-// worker panic, so callers keep the historical panic semantics — now with
-// worker id, chunk bounds, and the worker's stack attached.
-func mustRun(err error) {
-	if err != nil {
+// ranges. When tel is a live sink every claimed chunk is accounted (chunk
+// count, rows, busy wall time) so runs can quantify load imbalance across
+// workers; a nil/disabled sink adds a single branch per chunk and nothing
+// per row.
+//
+// Dynamic is DynamicCtx under context.Background(): it cannot be
+// cancelled, and a panic in body re-panics on the calling goroutine as a
+// *WorkerError carrying the worker id, chunk bounds and the worker's stack.
+func Dynamic(n, chunk, threads int, tel *telemetry.Sink, body func(worker, start, end int)) {
+	if err := DynamicCtx(background, n, chunk, threads, tel, body); err != nil {
 		panic(err)
 	}
 }
+
+// background is the context Dynamic runs under, held in a variable so the
+// call sites Dynamic is inlined into load it rather than each converting a
+// fresh context.Background() to an interface.
+var background = context.Background()
 
 // Cursor is a dynamic task cursor shared by worker threads. Next returns
 // half-open chunk bounds until the iteration space is exhausted — or, for
@@ -107,12 +84,8 @@ func NewCursor(n, chunk int) *Cursor {
 // Next claims the next chunk. It returns ok=false when the space is
 // exhausted or the cursor's context (NewCursorCtx) is cancelled.
 func (c *Cursor) Next() (start, end int, ok bool) {
-	if c.done != nil {
-		select {
-		case <-c.done:
-			return 0, 0, false
-		default:
-		}
+	if cancelled(c.done) {
+		return 0, 0, false
 	}
 	s := int(c.pos.Add(int64(c.chunk))) - c.chunk
 	if s >= c.n {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,11 +10,11 @@ import (
 	"graphite/internal/telemetry"
 )
 
-func covered(n, chunk, threads int, run func(n, chunk, threads int, body func(int, int))) ([]int32, bool) {
+func covered(n, chunk, threads int, run func(n, chunk, threads int, body func(worker, start, end int))) ([]int32, bool) {
 	counts := make([]int32, n)
 	ordered := true
 	var mu sync.Mutex
-	run(n, chunk, threads, func(start, end int) {
+	run(n, chunk, threads, func(_, start, end int) {
 		if start >= end {
 			mu.Lock()
 			ordered = false
@@ -26,11 +27,16 @@ func covered(n, chunk, threads int, run func(n, chunk, threads int, body func(in
 	return counts, ordered
 }
 
+// dynamic is Dynamic without a telemetry sink, in covered's runner shape.
+func dynamic(n, chunk, threads int, body func(worker, start, end int)) {
+	Dynamic(n, chunk, threads, nil, body)
+}
+
 func TestDynamicCoversAllExactlyOnce(t *testing.T) {
 	for _, tc := range []struct{ n, chunk, threads int }{
 		{0, 4, 2}, {1, 1, 1}, {7, 3, 2}, {100, 7, 4}, {100, 1000, 4}, {64, 8, 8}, {5, 0, 0},
 	} {
-		counts, ordered := covered(tc.n, tc.chunk, tc.threads, Dynamic)
+		counts, ordered := covered(tc.n, tc.chunk, tc.threads, dynamic)
 		if !ordered {
 			t.Fatalf("n=%d chunk=%d threads=%d: empty range delivered", tc.n, tc.chunk, tc.threads)
 		}
@@ -46,8 +52,10 @@ func TestStaticCoversAllExactlyOnce(t *testing.T) {
 	for _, tc := range []struct{ n, threads int }{
 		{0, 2}, {1, 1}, {7, 2}, {100, 4}, {3, 8}, {64, 8}, {5, 0},
 	} {
-		counts, _ := covered(tc.n, 0, tc.threads, func(n, _, threads int, body func(int, int)) {
-			Static(n, threads, body)
+		counts, _ := covered(tc.n, 0, tc.threads, func(n, _, threads int, body func(int, int, int)) {
+			if err := StaticCtx(context.Background(), n, threads, nil, body); err != nil {
+				t.Fatal(err)
+			}
 		})
 		for i, c := range counts {
 			if c != 1 {
@@ -62,7 +70,7 @@ func TestDynamicPropertyCoverage(t *testing.T) {
 		n := int(n8)
 		chunk := int(chunk8)%16 + 1
 		threads := int(threads8)%8 + 1
-		counts, _ := covered(n, chunk, threads, Dynamic)
+		counts, _ := covered(n, chunk, threads, dynamic)
 		for _, c := range counts {
 			if c != 1 {
 				return false
@@ -78,9 +86,11 @@ func TestDynamicPropertyCoverage(t *testing.T) {
 func TestForEachThreadRunsEachIDOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 7} {
 		seen := make([]int32, threads)
-		ForEachThread(threads, func(id int) {
+		if err := ForEachThreadCtx(context.Background(), threads, nil, func(id int) {
 			atomic.AddInt32(&seen[id], 1)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for id, c := range seen {
 			if c != 1 {
 				t.Fatalf("threads=%d: id %d ran %d times", threads, id, c)
@@ -118,7 +128,7 @@ func TestCursorConcurrentDisjoint(t *testing.T) {
 	const n = 1000
 	cur := NewCursor(n, 7)
 	counts := make([]int32, n)
-	ForEachThread(8, func(int) {
+	if err := ForEachThreadCtx(context.Background(), 8, nil, func(int) {
 		for {
 			s, e, ok := cur.Next()
 			if !ok {
@@ -128,7 +138,9 @@ func TestCursorConcurrentDisjoint(t *testing.T) {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
@@ -138,9 +150,11 @@ func TestCursorConcurrentDisjoint(t *testing.T) {
 
 func TestDynamicZeroAndNegativeN(t *testing.T) {
 	ran := false
-	Dynamic(-5, 4, 2, func(int, int) { ran = true })
-	Dynamic(0, 4, 2, func(int, int) { ran = true })
-	Static(0, 2, func(int, int) { ran = true })
+	Dynamic(-5, 4, 2, nil, func(int, int, int) { ran = true })
+	Dynamic(0, 4, 2, nil, func(int, int, int) { ran = true })
+	if err := StaticCtx(context.Background(), 0, 2, nil, func(int, int, int) { ran = true }); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Fatal("body ran for empty iteration space")
 	}
@@ -148,7 +162,7 @@ func TestDynamicZeroAndNegativeN(t *testing.T) {
 
 func BenchmarkDynamicOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Dynamic(1024, 16, 4, func(start, end int) {})
+		Dynamic(1024, 16, 4, nil, func(_, start, end int) {})
 	}
 }
 
@@ -194,9 +208,11 @@ func TestDynamicBalancesPowerLawSkew(t *testing.T) {
 	}
 
 	dynTel := telemetry.New(0)
-	DynamicTel(n, chunk, threads, dynTel, body)
+	Dynamic(n, chunk, threads, dynTel, body)
 	statTel := telemetry.New(0)
-	StaticTel(n, threads, statTel, body)
+	if err := StaticCtx(context.Background(), n, threads, statTel, body); err != nil {
+		t.Fatal(err)
+	}
 
 	dyn := dynTel.Snapshot()
 	stat := statTel.Snapshot()
@@ -222,12 +238,12 @@ func TestDynamicBalancesPowerLawSkew(t *testing.T) {
 	}
 }
 
-// TestDynamicTelAccountsChunksAndRows checks the per-worker accounting sums
-// match the iteration space exactly.
+// TestDynamicTelAccountsChunksAndRows checks Dynamic's per-worker accounting
+// on a live sink sums to the iteration space exactly.
 func TestDynamicTelAccountsChunksAndRows(t *testing.T) {
 	tel := telemetry.New(0)
 	const n, chunk = 103, 10
-	DynamicTel(n, chunk, 3, tel, func(worker, start, end int) {})
+	Dynamic(n, chunk, 3, tel, func(worker, start, end int) {})
 	snap := tel.Snapshot()
 	var rows, chunks int64
 	for _, w := range snap.Workers {
@@ -246,32 +262,35 @@ func TestDynamicTelAccountsChunksAndRows(t *testing.T) {
 	}
 }
 
-// TestTelVariantsMatchPlain verifies the telemetry wrappers don't change
-// scheduling semantics: every index still visited exactly once.
+// TestTelVariantsMatchPlain verifies a live telemetry sink doesn't change
+// Dynamic's or StaticCtx's scheduling semantics: every index still visited
+// exactly once.
 func TestTelVariantsMatchPlain(t *testing.T) {
 	for _, tc := range []struct{ n, chunk, threads int }{
 		{7, 3, 2}, {100, 7, 4}, {64, 8, 8},
 	} {
 		counts := make([]int32, tc.n)
-		DynamicTel(tc.n, tc.chunk, tc.threads, telemetry.New(0), func(_, start, end int) {
+		Dynamic(tc.n, tc.chunk, tc.threads, telemetry.New(0), func(_, start, end int) {
 			for i := start; i < end; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		})
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("DynamicTel n=%d: index %d visited %d times", tc.n, i, c)
+				t.Fatalf("Dynamic n=%d: index %d visited %d times", tc.n, i, c)
 			}
 		}
 		counts = make([]int32, tc.n)
-		StaticTel(tc.n, tc.threads, telemetry.New(0), func(_, start, end int) {
+		if err := StaticCtx(context.Background(), tc.n, tc.threads, telemetry.New(0), func(_, start, end int) {
 			for i := start; i < end; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("StaticTel n=%d: index %d visited %d times", tc.n, i, c)
+				t.Fatalf("StaticCtx n=%d: index %d visited %d times", tc.n, i, c)
 			}
 		}
 	}

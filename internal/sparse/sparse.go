@@ -151,7 +151,7 @@ func SpMMCtx(ctx context.Context, out *tensor.Matrix, g *graph.CSR, factors []fl
 	if len(factors) != g.NumEdges() {
 		panic(fmt.Sprintf("sparse: factor array length %d, want %d", len(factors), g.NumEdges()))
 	}
-	return sched.DynamicTelCtx(ctx, g.NumVertices(), 64, threads, tel, func(_, start, end int) {
+	return sched.DynamicCtx(ctx, g.NumVertices(), 64, threads, tel, func(_, start, end int) {
 		var edges int64
 		for v := start; v < end; v++ {
 			dst := out.Row(v)

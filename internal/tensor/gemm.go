@@ -14,18 +14,12 @@ const gemmRowChunk = 32
 // MatMul computes C = A·B for A (m×k) and B (k×n), parallelised over row
 // chunks with dynamic scheduling. It stands in for MKL's SGEMM, which the
 // baseline and basic implementations use for the update phase (§6).
-func MatMul(c, a, b *Matrix, threads int) { MatMulTel(c, a, b, threads, nil) }
-
-// MatMulTel is MatMul with telemetry: the product's dense-equivalent FLOPs
-// (2·m·k·n) are credited to the GEMM counter and the row chunks feed the
-// scheduler's per-worker accounting.
-func MatMulTel(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
+func MatMul(c, a, b *Matrix, threads int) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch: C %dx%d = A %dx%d · B %dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	tel.Add(telemetry.CtrGEMMFLOPs, GEMMFLOPs(a.Rows, a.Cols, b.Cols))
-	sched.DynamicTel(a.Rows, gemmRowChunk, threads, tel, func(_, start, end int) {
+	sched.Dynamic(a.Rows, gemmRowChunk, threads, nil, func(_, start, end int) {
 		MatMulRange(c, a, b, start, end)
 	})
 }
@@ -68,18 +62,17 @@ func MatMulRange(c, a, b *Matrix, rowStart, rowEnd int) {
 }
 
 // MatMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k). The backward pass
-// uses this for dX = dY·Wᵀ.
-func MatMulTransB(c, a, b *Matrix, threads int) { MatMulTransBTel(c, a, b, threads, nil) }
-
-// MatMulTransBTel is MatMulTransB with telemetry (see MatMulTel).
-func MatMulTransBTel(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
+// uses this for dX = dY·Wᵀ. With a live tel the product's dense-equivalent
+// FLOPs (2·m·k·n) are credited to the GEMM counter and the row chunks feed
+// the scheduler's per-worker accounting; tel may be nil.
+func MatMulTransB(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch: C %dx%d = A %dx%d · Bᵀ (%dx%d)ᵀ",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	tel.Add(telemetry.CtrGEMMFLOPs, GEMMFLOPs(a.Rows, a.Cols, b.Rows))
 	k := a.Cols
-	sched.DynamicTel(a.Rows, gemmRowChunk, threads, tel, func(_, start, end int) {
+	sched.Dynamic(a.Rows, gemmRowChunk, threads, tel, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			ai := a.Data[i*a.Stride : i*a.Stride+k]
 			ci := c.Row(i)
@@ -101,18 +94,15 @@ func MatMulTransBTel(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
 
 // MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n). The backward pass
 // uses this for dW = Xᵀ·dY. Parallelised over columns of Aᵀ (rows of C) so
-// no two tasks write the same C row.
-func MatMulTransA(c, a, b *Matrix, threads int) { MatMulTransATel(c, a, b, threads, nil) }
-
-// MatMulTransATel is MatMulTransA with telemetry (see MatMulTel).
-func MatMulTransATel(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
+// no two tasks write the same C row. tel is accounted as in MatMulTransB.
+func MatMulTransA(c, a, b *Matrix, threads int, tel *telemetry.Sink) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch: C %dx%d = Aᵀ (%dx%d)ᵀ · B %dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	tel.Add(telemetry.CtrGEMMFLOPs, GEMMFLOPs(a.Cols, a.Rows, b.Cols))
 	n := b.Cols
-	sched.DynamicTel(c.Rows, 8, threads, tel, func(_, start, end int) {
+	sched.Dynamic(c.Rows, 8, threads, tel, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			ci := c.Data[i*c.Stride : i*c.Stride+n]
 			clear(ci)

@@ -29,7 +29,7 @@ func AddBiasReLURange(y *Matrix, bias []float32, start, end int) {
 
 // AddBiasReLU applies AddBiasReLURange over the whole matrix in parallel.
 func AddBiasReLU(y *Matrix, bias []float32, threads int) {
-	sched.Dynamic(y.Rows, 64, threads, func(s, e int) { AddBiasReLURange(y, bias, s, e) })
+	sched.Dynamic(y.Rows, 64, threads, nil, func(_, s, e int) { AddBiasReLURange(y, bias, s, e) })
 }
 
 // AddBiasRange applies y[i,:] += bias without an activation (output layer).
@@ -51,7 +51,7 @@ func ReLUBackward(dx, dy, out *Matrix, threads int) {
 	if dx.Rows != dy.Rows || dx.Cols != dy.Cols || out.Rows != dy.Rows || out.Cols != dy.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
-	sched.Dynamic(dy.Rows, 64, threads, func(s, e int) {
+	sched.Dynamic(dy.Rows, 64, threads, nil, func(_, s, e int) {
 		for i := s; i < e; i++ {
 			rdx, rdy, ro := dx.Row(i), dy.Row(i), out.Row(i)
 			for j := range rdx {

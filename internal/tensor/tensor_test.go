@@ -81,7 +81,7 @@ func TestMatMulTransB(t *testing.T) {
 	a := randomMatrix(rng, 9, 13)
 	b := randomMatrix(rng, 7, 13) // Bᵀ is 13x7
 	c := NewMatrix(9, 7)
-	MatMulTransB(c, a, b, 2)
+	MatMulTransB(c, a, b, 2, nil)
 	bt := NewMatrix(13, 7)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 13; j++ {
@@ -98,7 +98,7 @@ func TestMatMulTransA(t *testing.T) {
 	a := randomMatrix(rng, 13, 9) // Aᵀ is 9x13
 	b := randomMatrix(rng, 13, 5)
 	c := NewMatrix(9, 5)
-	MatMulTransA(c, a, b, 2)
+	MatMulTransA(c, a, b, 2, nil)
 	at := NewMatrix(9, 13)
 	for i := 0; i < 13; i++ {
 		for j := 0; j < 9; j++ {
